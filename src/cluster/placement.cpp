@@ -47,7 +47,7 @@ sim::Task<Result<PlacementOutcome>> chain_to_proper_cache(
   if (node.disk_dir.exists(cache)) {
     node.pool.touch(base);
     co_return PlacementOutcome{PlacementOutcome::Action::local_warm_hit,
-                               "disk/" + cache, false, false};
+                               "disk/" + cache, false, false, {}};
   }
 
   // Lines 3-8: the storage node has the cache (memory, or disk — then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 namespace vmic::obs {
 
@@ -78,21 +79,13 @@ std::string render_labels(const Labels& labels) {
 // Registry
 // ===========================================================================
 
-std::string Registry::key_of(const std::string& name, const Labels& labels) {
-  std::string key = name;
-  for (const auto& [k, v] : labels) {
-    key += '\x01';
-    key += k;
-    key += '\x02';
-    key += v;
-  }
-  return key;
-}
-
 Registry::Entry& Registry::add_entry(const std::string& name, Labels labels,
                                      Kind kind, const void* owner) {
   Entry e;
-  e.name = name;
+  const auto [id, fresh] = name_ids_.try_emplace(
+      name, static_cast<std::uint32_t>(names_.size()));
+  if (fresh) names_.push_back(&id->first);
+  e.name = id->second;
   e.labels = normalized(std::move(labels));
   e.kind = kind;
   e.owner = owner;
@@ -103,50 +96,42 @@ Registry::Entry& Registry::add_entry(const std::string& name, Labels labels,
   return entries_.back();
 }
 
-Counter& Registry::counter(const std::string& name, Labels labels) {
+template <typename T, typename... Args>
+T& Registry::owned(Kind kind, const std::string& name, Labels labels,
+                   std::deque<T>& store, const T* Entry::*slot,
+                   Args&&... args) {
   labels = normalized(std::move(labels));
-  const std::string key = key_of(name, labels);
-  for (const auto& [k, ent] : owned_index_) {
-    if (k == key && ent->kind == Kind::counter) {
-      return *const_cast<Counter*>(ent->c);
-    }
+  std::string key(1, static_cast<char>(kind));
+  key += name;
+  for (const auto& [k, v] : labels) {
+    key += '\x01';
+    key += k;
+    key += '\x02';
+    key += v;
   }
-  owned_counters_.emplace_back();
-  Entry& e = add_entry(name, std::move(labels), Kind::counter, nullptr);
-  e.c = &owned_counters_.back();
-  owned_index_.emplace_back(key, &e);
-  return owned_counters_.back();
+  auto [it, fresh] = owned_index_.try_emplace(std::move(key));
+  if (fresh) {
+    T& inst = store.emplace_back(std::forward<Args>(args)...);
+    add_entry(name, std::move(labels), kind, nullptr).*slot = &inst;
+    it->second = &inst;
+  }
+  return *static_cast<T*>(it->second);
+}
+
+Counter& Registry::counter(const std::string& name, Labels labels) {
+  return owned(Kind::counter, name, std::move(labels), owned_counters_,
+               &Entry::c);
 }
 
 Gauge& Registry::gauge(const std::string& name, Labels labels) {
-  labels = normalized(std::move(labels));
-  const std::string key = key_of(name, labels);
-  for (const auto& [k, ent] : owned_index_) {
-    if (k == key && ent->kind == Kind::gauge) {
-      return *const_cast<Gauge*>(ent->g);
-    }
-  }
-  owned_gauges_.emplace_back();
-  Entry& e = add_entry(name, std::move(labels), Kind::gauge, nullptr);
-  e.g = &owned_gauges_.back();
-  owned_index_.emplace_back(key, &e);
-  return owned_gauges_.back();
+  return owned(Kind::gauge, name, std::move(labels), owned_gauges_,
+               &Entry::g);
 }
 
 Histogram& Registry::histogram(const std::string& name, Labels labels,
                                std::vector<double> bounds) {
-  labels = normalized(std::move(labels));
-  const std::string key = key_of(name, labels);
-  for (const auto& [k, ent] : owned_index_) {
-    if (k == key && ent->kind == Kind::histogram) {
-      return *const_cast<Histogram*>(ent->h);
-    }
-  }
-  owned_histograms_.emplace_back(std::move(bounds));
-  Entry& e = add_entry(name, std::move(labels), Kind::histogram, nullptr);
-  e.h = &owned_histograms_.back();
-  owned_index_.emplace_back(key, &e);
-  return owned_histograms_.back();
+  return owned(Kind::histogram, name, std::move(labels), owned_histograms_,
+               &Entry::h, std::move(bounds));
 }
 
 void Registry::attach_counter(const std::string& name, Labels labels,
@@ -186,11 +171,42 @@ void Registry::reset_owned() {
 }
 
 MetricsSnapshot Registry::snapshot() const {
+  // Order: name, then rendered labels, then registration order. Rank the
+  // few hundred distinct names once, render each entry's labels once, and
+  // stable-sort references to the entries: the comparator renders
+  // nothing, ties keep list (registration) order, and each point is built
+  // once, in place.
+  std::vector<std::uint32_t> rank(names_.size());
+  {
+    std::vector<std::uint32_t> by_name(names_.size());
+    std::iota(by_name.begin(), by_name.end(), 0u);
+    std::sort(by_name.begin(), by_name.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return *names_[a] < *names_[b];
+              });
+    for (std::uint32_t r = 0; r < by_name.size(); ++r) rank[by_name[r]] = r;
+  }
+  struct Key {
+    std::uint32_t rank;
+    const Entry* e;
+    std::string labels;
+  };
+  std::vector<Key> order;
+  order.reserve(entries_.size());
+  for (const Entry& e : entries_) {
+    order.push_back({rank[e.name], &e, render_labels(e.labels)});
+  }
+  std::stable_sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+    if (a.rank != b.rank) return a.rank < b.rank;
+    return a.labels < b.labels;
+  });
+
   MetricsSnapshot snap;
-  snap.points.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    MetricPoint p;
-    p.name = e.name;
+  snap.points.reserve(order.size());
+  for (const Key& k : order) {
+    const Entry& e = *k.e;
+    MetricPoint& p = snap.points.emplace_back();
+    p.name = *names_[e.name];
     p.labels = e.labels;
     p.kind = e.kind;
     switch (e.kind) {
@@ -207,13 +223,7 @@ MetricsSnapshot Registry::snapshot() const {
         p.count = e.h->count();
         break;
     }
-    snap.points.push_back(std::move(p));
   }
-  std::stable_sort(snap.points.begin(), snap.points.end(),
-                   [](const MetricPoint& a, const MetricPoint& b) {
-                     if (a.name != b.name) return a.name < b.name;
-                     return render_labels(a.labels) < render_labels(b.labels);
-                   });
   return snap;
 }
 

@@ -148,7 +148,8 @@ struct MetricPoint {
 /// A frozen, sorted view of a registry. Byte-stable for a deterministic
 /// simulation: rendering the same scenario twice yields identical text.
 struct MetricsSnapshot {
-  std::vector<MetricPoint> points;  // sorted by (name, rendered labels)
+  /// Sorted by name, then rendered label string, then registration order.
+  std::vector<MetricPoint> points;
 
   /// `name{k="v"} value` lines, one instrument per line (histograms
   /// expand to _bucket/_sum/_count lines, Prometheus-style).
@@ -205,7 +206,7 @@ class Registry {
 
  private:
   struct Entry {
-    std::string name;
+    std::uint32_t name = 0;  // id into names_
     Labels labels;
     Kind kind;
     const Counter* c = nullptr;
@@ -217,8 +218,15 @@ class Registry {
 
   Entry& add_entry(const std::string& name, Labels labels, Kind kind,
                    const void* owner);
-  [[nodiscard]] static std::string key_of(const std::string& name,
-                                          const Labels& labels);
+  template <typename T, typename... Args>
+  T& owned(Kind kind, const std::string& name, Labels labels,
+           std::deque<T>& store, const T* Entry::*slot, Args&&... args);
+
+  // Every metric name ever registered, once, under a dense id: 65k
+  // series of a few hundred names hold one copy of each, and a snapshot
+  // sorts the names instead of comparing them per series.
+  std::unordered_map<std::string, std::uint32_t> name_ids_;
+  std::vector<const std::string*> names_;  // id -> key in name_ids_
 
   // Insertion-ordered (snapshot ties break on it); a list so detach can
   // erase one owner's entries without shifting anyone else's.
@@ -231,9 +239,10 @@ class Registry {
   std::deque<Counter> owned_counters_;
   std::deque<Gauge> owned_gauges_;
   std::deque<Histogram> owned_histograms_;
-  // (name + labels) -> entry, for owned dedup (owned entries are never
-  // erased, so the pointers stay valid).
-  std::vector<std::pair<std::string, const Entry*>> owned_index_;
+  // kind + name + normalized labels -> owned instrument, for dedup. The
+  // kind is part of the key: a counter and a gauge on one series are two
+  // instruments.
+  std::unordered_map<std::string, void*> owned_index_;
 };
 
 }  // namespace vmic::obs

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -113,7 +114,10 @@ class Tracer {
   sim::SimEnv* env_ = nullptr;
   bool enabled_ = false;
   std::vector<TraceEvent> events_;
-  std::vector<std::string> tracks_;  // index == id
+  // name -> id, and id -> name (pointing at the map's stable keys). Ids are
+  // dense in first-use order: they are the exported Chrome thread ids.
+  std::unordered_map<std::string, std::uint32_t> track_ids_;
+  std::vector<const std::string*> tracks_;
 };
 
 }  // namespace vmic::obs

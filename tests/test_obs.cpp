@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -212,6 +216,185 @@ TEST(Snapshot, DeterministicAcrossRenders) {
   EXPECT_EQ(s1.to_json(), s2.to_json());
 }
 
+// The order contract: metric name first, then the *rendered* label string
+// (so `,` sorts before `}` and "c10" before "c9"), then registration order.
+TEST(Snapshot, OrderIsNameThenRenderedLabelString) {
+  Registry r;
+  r.counter("x", {{"node", "c9"}}).inc(1);
+  r.counter("x.y").inc(2);
+  r.counter("x", {{"k", "a"}}).inc(3);
+  r.counter("x", {{"node", "c10"}}).inc(4);
+  r.counter("x", {{"z", "1"}, {"k", "a"}}).inc(5);
+  r.counter("x").inc(6);
+  EXPECT_EQ(r.snapshot().to_text(),
+            "x 6\n"
+            "x{k=\"a\",z=\"1\"} 5\n"
+            "x{k=\"a\"} 3\n"
+            "x{node=\"c10\"} 4\n"
+            "x{node=\"c9\"} 1\n"
+            "x.y 2\n");
+}
+
+TEST(Registry, DuplicateSeriesKeepRegistrationOrder) {
+  Registry r;
+  Counter a, b, c;
+  a.inc(1);
+  b.inc(2);
+  c.inc(3);
+  int oa = 0, ob = 0, oc = 0;
+  r.attach_counter("dup", {{"n", "1"}}, &a, &oa);
+  r.counter("dup", {{"n", "0"}}).inc(9);
+  r.attach_counter("dup", {{"n", "1"}}, &b, &ob);
+  r.attach_counter("dup", {{"n", "1"}}, &c, &oc);
+  EXPECT_EQ(r.snapshot().to_text(),
+            "dup{n=\"0\"} 9\n"
+            "dup{n=\"1\"} 1\n"
+            "dup{n=\"1\"} 2\n"
+            "dup{n=\"1\"} 3\n");
+  r.detach(&oa);
+  EXPECT_EQ(r.snapshot().to_text(),
+            "dup{n=\"0\"} 9\n"
+            "dup{n=\"1\"} 2\n"
+            "dup{n=\"1\"} 3\n");
+  // Re-attaching registers anew: the series now ties last.
+  r.attach_counter("dup", {{"n", "1"}}, &a, &oa);
+  EXPECT_EQ(r.snapshot().to_text(),
+            "dup{n=\"0\"} 9\n"
+            "dup{n=\"1\"} 2\n"
+            "dup{n=\"1\"} 3\n"
+            "dup{n=\"1\"} 1\n");
+  r.detach(&oa);
+  r.detach(&ob);
+  r.detach(&oc);
+  EXPECT_EQ(r.size(), 1u);
+}
+
+TEST(Registry, OwnedCounterAndGaugeOnOneSeriesStayDistinct) {
+  Registry r;
+  Counter& c = r.counter("same", {{"n", "1"}});
+  Gauge& g = r.gauge("same", {{"n", "1"}});
+  EXPECT_EQ(&r.counter("same", {{"n", "1"}}), &c);
+  EXPECT_EQ(&r.gauge("same", {{"n", "1"}}), &g);
+  EXPECT_EQ(r.size(), 2u);
+  c.inc(3);
+  g.set(2.5);
+  EXPECT_EQ(r.snapshot().to_text(),
+            "same{n=\"1\"} 3\n"
+            "same{n=\"1\"} 2.5\n");
+}
+
+// The snapshot order as first specified: every point built, then
+// stable-sorted with both label sets rendered inside the comparator. The
+// registry's own sort must match it byte for byte.
+MetricsSnapshot reference_snapshot(std::vector<MetricPoint> points) {
+  std::stable_sort(points.begin(), points.end(),
+                   [](const MetricPoint& a, const MetricPoint& b) {
+                     if (a.name != b.name) return a.name < b.name;
+                     return render_labels(a.labels) < render_labels(b.labels);
+                   });
+  return MetricsSnapshot{std::move(points)};
+}
+
+// A 2,500-node cloud's registry shape: 26 attached counters per node,
+// series shared across nodes, owned aggregates deduplicated on every
+// attach, and a third of the nodes torn down and some re-attached.
+TEST(Registry, FleetScaleSnapshotMatchesReference) {
+  constexpr int kOwners = 2500;
+  constexpr int kPerOwner = 26;
+  const std::vector<std::string> names = {
+      "qcow2.bytes_read", "nfs.server.bytes_tx", "net.link.bytes",
+      "cache.pool.evictions", "disk.reads", "disk.bytes_read",
+      "page_cache.hits", "page_cache.misses", "net.link.transfers",
+      "cache.pool.admits", "qcow2.cor_fills", "node.slots"};
+
+  // What the test registered, in registration order.
+  struct Row {
+    MetricPoint point;  // name, normalized labels, kind
+    const Counter* c = nullptr;
+    const Gauge* g = nullptr;
+    bool live = true;
+  };
+  std::vector<Row> rows;
+  std::vector<std::vector<std::size_t>> rows_of(kOwners);
+  std::vector<Counter> counters(static_cast<std::size_t>(kOwners) * kPerOwner);
+  std::vector<int> tokens(kOwners);
+  Registry r;
+
+  auto add_row = [&](std::string name, Labels labels, Kind kind,
+                     const Counter* c, const Gauge* g) {
+    Row row;
+    row.point.name = std::move(name);
+    row.point.labels = std::move(labels);
+    row.point.kind = kind;
+    row.c = c;
+    row.g = g;
+    rows.push_back(std::move(row));
+  };
+  auto attach_owner = [&](int i) {
+    const std::string node = "c" + std::to_string(i);
+    for (int k = 0; k < kPerOwner; ++k) {
+      Counter& c = counters[static_cast<std::size_t>(i) * kPerOwner + k];
+      c.reset();
+      c.inc(static_cast<std::uint64_t>(i) * 131 + k);
+      std::string name;
+      Labels labels;
+      if (k == kPerOwner - 1) {
+        // One series shared by every seventh node: registration-order ties.
+        name = "fleet.shared";
+        labels = {{"group", "g" + std::to_string(i % 7)}};
+      } else {
+        name = names[static_cast<std::size_t>(k) % names.size()];
+        labels = {{"node", node}};
+        if (k >= static_cast<int>(names.size())) {
+          labels = {{"dir", k % 2 ? "rx" : "tx"}, {"node", node}};
+        }
+      }
+      // Register the labels reversed: the registry normalizes them.
+      r.attach_counter(name, Labels(labels.rbegin(), labels.rend()), &c,
+                       &tokens[i]);
+      rows_of[i].push_back(rows.size());
+      add_row(name, labels, Kind::counter, &c, nullptr);
+    }
+    const bool cache = i % 2 != 0;
+    const Labels agg{{"image", cache ? "cache" : "plain"}};
+    std::size_t before = r.size();
+    Counter& total = r.counter("fleet.agg", agg);
+    total.inc(static_cast<std::uint64_t>(i));
+    if (r.size() != before) add_row("fleet.agg", agg, Kind::counter, &total, {});
+    if (cache) {
+      // Same name and labels as an owned counter, but a gauge.
+      before = r.size();
+      Gauge& peak = r.gauge("fleet.agg", agg);
+      peak.set_max(static_cast<double>(i) / 4);
+      if (r.size() != before) add_row("fleet.agg", agg, Kind::gauge, {}, &peak);
+    }
+  };
+  auto detach_owner = [&](int i) {
+    r.detach(&tokens[i]);
+    for (const std::size_t row : rows_of[i]) rows[row].live = false;
+    rows_of[i].clear();
+  };
+
+  for (int i = 0; i < kOwners; ++i) attach_owner(i);
+  for (int i = 0; i < kOwners; i += 3) detach_owner(i);
+  for (int i = 0; i < 300; i += 6) attach_owner(i);
+
+  std::vector<MetricPoint> points;
+  for (const Row& row : rows) {
+    if (!row.live) continue;
+    MetricPoint p = row.point;
+    if (p.kind == Kind::counter) p.counter = row.c->value();
+    else p.gauge = row.g->value();
+    points.push_back(std::move(p));
+  }
+  ASSERT_EQ(r.size(), points.size());
+  ASSERT_GT(points.size(), 40000u);
+  const MetricsSnapshot ref = reference_snapshot(std::move(points));
+  const MetricsSnapshot got = r.snapshot();
+  EXPECT_EQ(got.to_text(), ref.to_text());
+  EXPECT_EQ(got.to_json(), ref.to_json());
+}
+
 // ---------------------------------------------------------------------------
 // tracer
 // ---------------------------------------------------------------------------
@@ -289,6 +472,32 @@ TEST(Tracer, ChromeJsonShape) {
   // Complete events carry microsecond durations (1500-1000 ns = 0.500 us).
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":0.500"), std::string::npos);
+}
+
+// Track ids are exported as Chrome thread ids, so they must stay dense and
+// in first-use order however many tracks a cloud creates.
+TEST(Tracer, TrackIdsAreDenseInFirstUseOrderAtScale) {
+  constexpr std::uint32_t kTracks = 20000;
+  // A permutation of the names: first-use order is not name order.
+  auto name_of = [](std::uint32_t i) {
+    return "vm/" + std::to_string(i * 7919u % kTracks);
+  };
+  Tracer t;
+  for (std::uint32_t i = 0; i < kTracks; ++i) {
+    ASSERT_EQ(t.track(name_of(i)), i);
+  }
+  for (std::uint32_t i = kTracks; i-- > 0;) {
+    ASSERT_EQ(t.track(name_of(i)), i);
+  }
+  std::string want = "{\"traceEvents\":[";
+  for (std::uint32_t i = 0; i < kTracks; ++i) {
+    if (i != 0) want += ',';
+    want += "{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(i) +
+            ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + name_of(i) +
+            "\"}}";
+  }
+  want += "]}";
+  EXPECT_EQ(t.to_chrome_json(), want);
 }
 
 TEST(Hub, TracingHelperIsNullSafe) {

@@ -417,11 +417,16 @@ TEST(Qcow2Chain, DeepButAcyclicChainOpens) {
     opt.virtual_size = 1_MiB;
     ASSERT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
   }
+  const auto layer = [](int i) {
+    std::string name = "l";
+    name += std::to_string(i);
+    return name;
+  };
   for (int i = 1; i <= 5; ++i) {
-    auto be = store.create_file("l" + std::to_string(i));
+    auto be = store.create_file(layer(i));
     Qcow2Device::CreateOptions opt;
     opt.virtual_size = 1_MiB;
-    opt.backing_file = "l" + std::to_string(i - 1);
+    opt.backing_file = layer(i - 1);
     ASSERT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
   }
   auto dev = sync_wait(open_image(store, "l5"));
