@@ -3,13 +3,18 @@
 // Backs the §5.1 claim that the smaller 512 B cache cluster size is
 // affordable: "the frequency of lookups does not affect the booting time
 // since most reads during boot are small and need a lookup anyway."
+// The LZSS and compressed-read benches give the per-cluster host cost of
+// compressed caches (every fill compresses, every warm read decodes).
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <vector>
 
 #include "io/mem_store.hpp"
 #include "qcow2/chain.hpp"
+#include "qcow2/device.hpp"
 #include "sim/task.hpp"
+#include "util/compress.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -135,6 +140,142 @@ void BM_Qcow2_L2LookupOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Qcow2_L2LookupOnly)->Arg(9)->Arg(12)->Arg(16);
+
+/// A sibling-catalog cluster: a 32-byte tile repeated across the cluster
+/// with an 8-byte stamp at its start (the cloud engine's content model).
+void fill_sibling_tile(std::span<std::uint8_t> out, Rng& rng) {
+  std::uint8_t tile[32];
+  for (auto& b : tile) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = tile[i % 32];
+  const std::uint64_t stamp = rng.next();
+  std::memcpy(out.data(), &stamp, std::min<std::size_t>(8, out.size()));
+}
+
+/// Mixed content: byte runs, noise, and copies of earlier bytes from
+/// within the 4 KiB window.
+void fill_mixed(std::span<std::uint8_t> out, Rng& rng) {
+  std::size_t i = 0;
+  while (i < out.size()) {
+    const std::size_t run =
+        std::min<std::size_t>(1 + rng.below(64), out.size() - i);
+    const std::uint64_t shape = i == 0 ? 1 : rng.below(3);
+    const std::size_t dist =
+        shape == 0 ? 1 : 1 + rng.below(std::min<std::size_t>(i, 4096));
+    for (std::size_t k = 0; k < run; ++k) {
+      out[i + k] = shape == 1 ? static_cast<std::uint8_t>(rng.next())
+                              : out[i + k - dist];
+    }
+    i += run;
+  }
+}
+
+/// Codec input for range(0): 0 = 4 KiB sibling tile, 1 = 64 KiB mixed.
+std::vector<std::uint8_t> lzss_input(std::int64_t shape) {
+  Rng rng{static_cast<std::uint64_t>(shape) + 41};
+  std::vector<std::uint8_t> v(shape == 0 ? 4 * KiB : 64 * KiB);
+  if (shape == 0) {
+    fill_sibling_tile(v, rng);
+  } else {
+    fill_mixed(v, rng);
+  }
+  return v;
+}
+
+void BM_Lzss_Compress(benchmark::State& state) {
+  const auto src = lzss_input(state.range(0));
+  std::vector<std::uint8_t> dst(src.size());
+  for (auto _ : state) {
+    const std::size_t n = lzss_compress(src, dst, src.size() - 512);
+    if (n == 0) state.SkipWithError("input did not compress");
+    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(src.size()));
+}
+BENCHMARK(BM_Lzss_Compress)->Arg(0)->Arg(1);
+
+void BM_Lzss_Decompress(benchmark::State& state) {
+  const auto plain = lzss_input(state.range(0));
+  std::vector<std::uint8_t> stream(plain.size());
+  stream.resize(lzss_compress(plain, stream, plain.size() - 512));
+  if (stream.empty()) {
+    state.SkipWithError("input did not compress");
+    return;
+  }
+  std::vector<std::uint8_t> out(plain.size());
+  for (auto _ : state) {
+    const bool ok = lzss_decompress(stream, out);
+    if (!ok) state.SkipWithError("decode failed");
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(plain.size()));
+}
+BENCHMARK(BM_Lzss_Decompress)->Arg(0)->Arg(1);
+
+void BM_Qcow2_CompressedRead(benchmark::State& state) {
+  // Warm compressed cache (4 KiB clusters of sibling-tile content, all
+  // stored compressed), read through the overlay: range(0) = 4096 is the
+  // whole-cluster read that decodes into the caller's buffer, 1536 a
+  // sub-cluster read that decodes into scratch and copies out.
+  constexpr std::uint64_t kImage = 16 * MiB;
+  constexpr std::uint64_t kCluster = 4 * KiB;
+  io::MemImageStore store;
+  {
+    auto be = store.create_file("base.img");
+    std::vector<std::uint8_t> content(kImage);
+    Rng rng{5};
+    for (std::uint64_t off = 0; off < kImage; off += kCluster) {
+      fill_sibling_tile({content.data() + off, kCluster}, rng);
+    }
+    (void)sync_wait((*be)->pwrite(0, content));
+  }
+  block::DevicePtr dev;
+  auto setup = [&]() -> sim::Task<Result<void>> {
+    VMIC_CO_TRY_VOID(co_await qcow2::create_cache_image(
+        store, "c.cache", "base.img", 64 * MiB,
+        {.cluster_bits = 12, .virtual_size = kImage}));
+    VMIC_CO_TRY_VOID(co_await qcow2::create_cow_image(store, "vm.cow",
+                                                      "c.cache"));
+    VMIC_CO_TRY(d, co_await qcow2::open_image(store, "vm.cow"));
+    dev = std::move(d);
+    auto* cache = dynamic_cast<qcow2::Qcow2Device*>(dev->backing());
+    if (cache == nullptr) co_return Errc::corrupt;
+    cache->set_cor_compress(true);
+    co_return ok_result();
+  };
+  bool ok = sync_wait(setup()).ok();
+  // Warm every cluster, one guest-sized read per sync_wait: synchronously
+  // completing awaits nest, and one long coroutine loop would overflow
+  // sanitizer stacks.
+  std::vector<std::uint8_t> chunk(64 * KiB);
+  for (std::uint64_t off = 0; ok && off < kImage; off += chunk.size()) {
+    ok = sync_wait(dev->read(off, chunk)).ok();
+  }
+  if (!ok) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  const auto len = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t in_cluster = len == kCluster ? 0 : 512;
+  std::vector<std::uint8_t> buf(len);
+  Rng rng{9};
+  for (auto _ : state) {
+    const std::uint64_t off =
+        rng.below(kImage / kCluster) * kCluster + in_cluster;
+    auto r = sync_wait(dev->read(off, buf));
+    if (!r.ok()) state.SkipWithError("read failed");
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_Qcow2_CompressedRead)->Arg(4096)->Arg(1536);
 
 }  // namespace
 

@@ -1146,12 +1146,23 @@ sim::Task<Result<void>> Qcow2Device::read_compressed(
   const std::uint64_t cs = ly_.cluster_size();
   const Layout::CompressedDesc d = ly_.decode_compressed(ext.entry);
   if (!ly_.compressed_desc_sane(d)) co_return Errc::corrupt;
-  std::vector<std::uint8_t> payload(d.sectors * 512, 0);
-  VMIC_CO_TRY_VOID(co_await file_->pread(d.offset, payload));
-  std::vector<std::uint8_t> cluster(cs, 0);
-  if (!lzss_decompress(payload, cluster)) co_return Errc::corrupt;
-  const std::uint64_t in_cl = pos & (cs - 1);
-  std::memcpy(dst.data(), cluster.data() + in_cl, dst.size());
+  // Scratch stays uninitialised: pread fills the payload completely and
+  // the decoder writes every byte of a cluster it accepts.
+  const std::size_t plen = d.sectors * 512;
+  const auto payload = std::make_unique_for_overwrite<std::uint8_t[]>(plen);
+  const std::span<std::uint8_t> stream(payload.get(), plen);
+  VMIC_CO_TRY_VOID(co_await file_->pread(d.offset, stream));
+  if (dst.size() == cs) {
+    // Whole-cluster read: decode straight into the caller's buffer.
+    if (!lzss_decompress(stream, dst)) co_return Errc::corrupt;
+  } else {
+    const auto cluster = std::make_unique_for_overwrite<std::uint8_t[]>(cs);
+    if (!lzss_decompress(stream, {cluster.get(), cs})) {
+      co_return Errc::corrupt;
+    }
+    const std::uint64_t in_cl = pos & (cs - 1);
+    std::memcpy(dst.data(), cluster.get() + in_cl, dst.size());
+  }
   bump(agg_.comp_reads);
   co_return ok_result();
 }
@@ -1189,21 +1200,25 @@ sim::Task<Result<void>> Qcow2Device::cor_store_compressed_run(
     std::uint64_t off = 0;      // file offset of the payload
     std::uint64_t sectors = 0;  // 0 => plain full cluster
     RefHint slots{};
-    std::vector<std::uint8_t> payload;  // sector-padded; empty when plain
+    /// sectors * 512 bytes of sector-padded payload; null when plain.
+    std::unique_ptr<std::uint8_t[]> payload;
   };
   std::vector<Pend> pend(static_cast<std::size_t>(n));
   for (std::uint64_t k = 0; k < n; ++k) {
     Pend& p = pend[static_cast<std::size_t>(k)];
     p.vaddr = vaddr + k * cs;
     if (cs > 512) {
-      std::vector<std::uint8_t> comp(cs);
-      const std::size_t csize =
-          lzss_compress(data.subspan(k * cs, cs), comp, cs - 512);
+      // The payload buffer is the compressor's output: a stream that
+      // fits cs - 512 bytes also fits once padded to whole sectors, so
+      // only the padding needs zeroing.
+      auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cs - 512);
+      const std::size_t csize = lzss_compress(data.subspan(k * cs, cs),
+                                              {buf.get(), cs - 512}, cs - 512);
       if (csize > 0) {
         p.sectors = div_ceil(static_cast<std::uint64_t>(csize),
                              std::uint64_t{512});
-        p.payload.assign(p.sectors * 512, 0);
-        std::memcpy(p.payload.data(), comp.data(), csize);
+        std::memset(buf.get() + csize, 0, p.sectors * 512 - csize);
+        p.payload = std::move(buf);
       }
     }
   }
@@ -1274,7 +1289,8 @@ sim::Task<Result<void>> Qcow2Device::cor_store_compressed_run(
       const Pend& p = pend[i];
       const std::span<const std::uint8_t> bytes =
           p.sectors == 0 ? data.subspan(p.vaddr - vaddr, cs)
-                         : std::span<const std::uint8_t>(p.payload);
+                         : std::span<const std::uint8_t>(p.payload.get(),
+                                                         p.sectors * 512);
       if (chunk.empty() || chunk_off + chunk.size() != p.off) {
         wr = co_await flush_chunk();
         if (!wr.ok()) break;
@@ -1349,15 +1365,18 @@ sim::Task<Result<void>> Qcow2Device::rewrite_compressed(
   const std::uint64_t lo = align_down(pos, cs);
 
   // Decompress-modify: splice the write over the old cluster content.
-  std::vector<std::uint8_t> cluster(cs, 0);
+  // Both buffers stay uninitialised, as in read_compressed().
+  const auto cluster = std::make_unique_for_overwrite<std::uint8_t[]>(cs);
   {
     const Layout::CompressedDesc d = ly_.decode_compressed(ext.entry);
     if (!ly_.compressed_desc_sane(d)) co_return Errc::corrupt;
-    std::vector<std::uint8_t> payload(d.sectors * 512, 0);
-    VMIC_CO_TRY_VOID(co_await file_->pread(d.offset, payload));
-    if (!lzss_decompress(payload, cluster)) co_return Errc::corrupt;
+    const std::size_t plen = d.sectors * 512;
+    const auto payload = std::make_unique_for_overwrite<std::uint8_t[]>(plen);
+    const std::span<std::uint8_t> stream(payload.get(), plen);
+    VMIC_CO_TRY_VOID(co_await file_->pread(d.offset, stream));
+    if (!lzss_decompress(stream, {cluster.get(), cs})) co_return Errc::corrupt;
   }
-  std::memcpy(cluster.data() + (pos - lo), sub.data(), sub.size());
+  std::memcpy(cluster.get() + (pos - lo), sub.data(), sub.size());
 
   std::uint64_t host = 0;
   RefHint slots{};
@@ -1369,7 +1388,7 @@ sim::Task<Result<void>> Qcow2Device::rewrite_compressed(
     VMIC_CO_TRY(h, co_await alloc_clusters(1, slots));
     host = h;
   }
-  auto wr = co_await file_->pwrite(host, cluster);
+  auto wr = co_await file_->pwrite(host, {cluster.get(), cs});
   if (wr.ok()) wr = co_await file_->flush();
   {
     auto guard = co_await lock_alloc();

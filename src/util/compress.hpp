@@ -16,7 +16,10 @@ namespace vmic {
 // literals as single bytes and matches as 2-byte (offset, length) pairs
 // (12-bit offset, 4-bit length-3, i.e. match lengths 3..18). Greedy
 // matching over a 3-byte hash chain keeps it fast and — critically for
-// the simulator's golden pins — bit-exact across platforms and runs.
+// the simulator's golden pins — bit-exact across platforms and runs: the
+// compressed bytes are part of that contract (DESIGN.md, "Codec
+// contract"), and tests/test_util.cpp checks both directions against the
+// byte-at-a-time reference codec.
 // ---------------------------------------------------------------------------
 
 /// Compress `src` into `dst`. Returns the compressed size, or 0 when the
@@ -27,7 +30,8 @@ std::size_t lzss_compress(std::span<const std::uint8_t> src,
 
 /// Decompress exactly `src` into `dst`, whose size is the known
 /// decompressed length. Returns false when the stream is malformed or
-/// does not produce exactly dst.size() bytes.
+/// does not produce exactly dst.size() bytes; `dst` then holds
+/// unspecified bytes.
 bool lzss_decompress(std::span<const std::uint8_t> src,
                      std::span<std::uint8_t> dst);
 

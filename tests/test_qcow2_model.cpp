@@ -26,6 +26,7 @@
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
 #include "sim/task.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -313,6 +314,88 @@ TEST(Qcow2Model, CompressedSurvivesReopen) {
   ASSERT_TRUE(chk.ok());
   EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
                             << " corrupt=" << chk->corruptions;
+  ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+}
+
+TEST(Qcow2Model, CorruptCompressedPayloadRejected) {
+  // A compressed cache built as in Compressed4KClusters, then one
+  // payload's first token rewritten into a back-reference before the
+  // start of its stream. The decoder must reject it on both read paths —
+  // a whole-cluster read decodes straight into the caller's buffer, a
+  // sub-cluster read into scratch — while the payloads packed around it
+  // keep reading back intact.
+  MemImageStore store;
+  constexpr std::uint64_t kSize = 1_MiB;
+  constexpr std::uint64_t kCluster = 4_KiB;
+  auto base = store.create_file("base.img");
+  ASSERT_TRUE(base.ok());
+  const auto base_data = mixed_bytes(707 ^ 0x9e3779b9, kSize);
+  ASSERT_TRUE(sync_wait((*base)->pwrite(0, base_data)).ok());
+  ASSERT_TRUE(sync_wait(create_cache_image(
+                  store, "vmi.cache", "base.img", 4_MiB,
+                  {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  ASSERT_TRUE(sync_wait(create_cow_image(store, "vm.cow", "vmi.cache")).ok());
+  {
+    auto dev = sync_wait(open_image(store, "vm.cow"));
+    ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+    auto* cache = dynamic_cast<Qcow2Device*>((*dev)->backing());
+    ASSERT_NE(cache, nullptr);
+    cache->set_cor_compress(true);
+    std::vector<std::uint8_t> buf(kSize, 0);
+    ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());  // fill everything
+    ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+  }
+
+  // Walk the cache's first L2 table for a compressed cluster whose two
+  // neighbours are compressed too, and corrupt its payload: flag bit 0
+  // set, then token 0x0000 = a 3-byte match at offset 1 with nothing
+  // decoded yet.
+  SparseBuffer* file = *store.buffer("vmi.cache");
+  std::uint8_t hdr[kHeaderLength];
+  file->read(0, hdr);
+  const std::uint64_t l1_off = load_be64(hdr + 40);
+  std::uint8_t l1e[8];
+  file->read(l1_off, l1e);
+  const std::uint64_t l2_off = load_be64(l1e) & kOffsetMask;
+  ASSERT_NE(l2_off, 0u);
+  std::vector<std::uint8_t> l2(kCluster);
+  file->read(l2_off, l2);
+  auto compressed = [&](std::uint64_t i) {
+    return (load_be64(l2.data() + i * 8) & kFlagCompressed) != 0;
+  };
+  std::uint64_t victim = 0;
+  for (std::uint64_t i = 1; i + 1 < kSize / kCluster; ++i) {
+    if (compressed(i - 1) && compressed(i) && compressed(i + 1)) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_NE(victim, 0u) << "no compressed cluster with compressed neighbours";
+  const Layout ly(12);
+  const Layout::CompressedDesc d =
+      ly.decode_compressed(load_be64(l2.data() + victim * 8));
+  const std::uint8_t bad_token[3] = {0x01, 0x00, 0x00};
+  file->write(d.offset, bad_token);
+
+  auto dev = sync_wait(open_image(store, "vm.cow"));
+  ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+  const std::uint64_t at = victim * kCluster;
+  std::vector<std::uint8_t> whole(kCluster);
+  EXPECT_EQ(sync_wait((*dev)->read(at, whole)).error(), Errc::corrupt);
+  std::vector<std::uint8_t> part(1536);
+  EXPECT_EQ(sync_wait((*dev)->read(at + 512, part)).error(), Errc::corrupt);
+  for (const std::uint64_t n : {victim - 1, victim + 1}) {
+    ASSERT_TRUE(sync_wait((*dev)->read(n * kCluster, whole)).ok());
+    EXPECT_EQ(0, std::memcmp(whole.data(), base_data.data() + n * kCluster,
+                             kCluster))
+        << "neighbour cluster " << n;
+    ASSERT_TRUE(sync_wait((*dev)->read(n * kCluster + 512, part)).ok());
+    EXPECT_EQ(0, std::memcmp(part.data(),
+                             base_data.data() + n * kCluster + 512,
+                             part.size()))
+        << "neighbour cluster " << n;
+  }
   ASSERT_TRUE(sync_wait((*dev)->close()).ok());
 }
 

@@ -485,7 +485,9 @@ TEST(Compress, DecompressToleratesSectorPadding) {
 
 TEST(Compress, OverlappingRleMatches) {
   // A run of one byte forces offset-1 self-overlapping matches — the
-  // classic LZSS RLE encoding; the decoder must copy byte-by-byte.
+  // classic LZSS RLE encoding. Each copied byte depends on the one just
+  // written, so the decoder's word-at-a-time copies (offsets >= 8) must
+  // not serve these.
   std::vector<std::uint8_t> src(1000, 0x00);
   src[0] = 0x41;
   std::vector<std::uint8_t> comp(src.size());
@@ -528,6 +530,287 @@ TEST(Compress, RandomBuffersRoundTripWhenCompressible) {
     ASSERT_TRUE(lzss_decompress({comp.data(), n}, back));
     ASSERT_EQ(src, back) << "iteration " << iter;
   }
+}
+
+// --------------------------------------------------------------------------
+// LZSS differential oracle: the byte-at-a-time codec the word-at-a-time
+// one replaced, kept verbatim. Compressed bytes are part of the golden
+// contract (cache footprints, quota edges and sim timings depend on
+// them), so the fast codec must make exactly this parse and reject
+// exactly these streams.
+// --------------------------------------------------------------------------
+
+namespace ref {
+
+constexpr std::size_t kWindowBits = 12;
+constexpr std::size_t kWindow = 1u << kWindowBits;  // 4096
+constexpr std::size_t kMinMatch = 3;
+constexpr std::size_t kMaxMatch = kMinMatch + 15;  // 4-bit length field
+
+constexpr std::size_t kHashBits = 13;
+constexpr std::size_t kHashSize = 1u << kHashBits;
+
+inline std::uint32_t hash3(const std::uint8_t* p) {
+  // 3-byte multiplicative hash; deterministic and platform-independent.
+  const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                          (static_cast<std::uint32_t>(p[1]) << 8) |
+                          (static_cast<std::uint32_t>(p[2]) << 16);
+  return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+std::size_t lzss_compress(std::span<const std::uint8_t> src,
+                          std::span<std::uint8_t> dst, std::size_t max_out) {
+  const std::size_t n = src.size();
+  if (n == 0 || max_out == 0 || dst.size() < max_out) return 0;
+
+  // head[h] = most recent source position with hash h (+1; 0 = empty).
+  std::vector<std::uint32_t> head(kHashSize, 0);
+
+  std::size_t out = 0;
+  std::size_t pos = 0;
+  while (pos < n) {
+    // Reserve the flag byte for the next (up to) 8 tokens.
+    if (out >= max_out) return 0;
+    const std::size_t flag_at = out++;
+    std::uint8_t flags = 0;
+    for (int bit = 0; bit < 8 && pos < n; ++bit) {
+      std::size_t best_len = 0;
+      std::size_t best_off = 0;
+      if (pos + kMinMatch <= n) {
+        const std::uint32_t h = hash3(src.data() + pos);
+        const std::uint32_t cand1 = head[h];
+        if (cand1 != 0) {
+          const std::size_t cand = cand1 - 1;
+          if (cand < pos && pos - cand <= kWindow) {
+            const std::size_t limit =
+                (n - pos) < kMaxMatch ? (n - pos) : kMaxMatch;
+            std::size_t len = 0;
+            while (len < limit && src[cand + len] == src[pos + len]) ++len;
+            if (len >= kMinMatch) {
+              best_len = len;
+              best_off = pos - cand;
+            }
+          }
+        }
+        head[h] = static_cast<std::uint32_t>(pos + 1);
+      }
+      if (best_len >= kMinMatch) {
+        if (out + 2 > max_out) return 0;
+        flags |= static_cast<std::uint8_t>(1u << bit);
+        // 12-bit offset-1 in the low bits, 4-bit length-3 in the top.
+        const std::uint32_t tok =
+            static_cast<std::uint32_t>(best_off - 1) |
+            (static_cast<std::uint32_t>(best_len - kMinMatch) << kWindowBits);
+        dst[out++] = static_cast<std::uint8_t>(tok & 0xff);
+        dst[out++] = static_cast<std::uint8_t>((tok >> 8) & 0xff);
+        // Index the interior of the match too (cheaply: every position),
+        // so runs keep matching against their own tail.
+        const std::size_t end = pos + best_len;
+        for (std::size_t p = pos + 1; p + kMinMatch <= n && p < end; ++p) {
+          head[hash3(src.data() + p)] = static_cast<std::uint32_t>(p + 1);
+        }
+        pos = end;
+      } else {
+        if (out + 1 > max_out) return 0;
+        dst[out++] = src[pos++];
+      }
+    }
+    dst[flag_at] = flags;
+  }
+  return out < n ? out : 0;
+}
+
+bool lzss_decompress(std::span<const std::uint8_t> src,
+                     std::span<std::uint8_t> dst) {
+  const std::size_t n = dst.size();
+  std::size_t in = 0;
+  std::size_t out = 0;
+  while (out < n) {
+    if (in >= src.size()) return false;
+    const std::uint8_t flags = src[in++];
+    for (int bit = 0; bit < 8 && out < n; ++bit) {
+      if ((flags >> bit) & 1u) {
+        if (in + 2 > src.size()) return false;
+        const std::uint32_t tok =
+            static_cast<std::uint32_t>(src[in]) |
+            (static_cast<std::uint32_t>(src[in + 1]) << 8);
+        in += 2;
+        const std::size_t off = (tok & (kWindow - 1)) + 1;
+        const std::size_t len = (tok >> kWindowBits) + kMinMatch;
+        if (off > out || out + len > n) return false;
+        // Byte-by-byte: matches may overlap their own output (RLE).
+        for (std::size_t i = 0; i < len; ++i) {
+          dst[out] = dst[out - off];
+          ++out;
+        }
+      } else {
+        if (in >= src.size()) return false;
+        dst[out++] = src[in++];
+      }
+    }
+  }
+  // Trailing input bytes are tolerated: compressed payloads are stored
+  // sector-padded, so the stream may be followed by zero fill.
+  return out == n;
+}
+
+}  // namespace ref
+
+/// Seeded codec inputs of the shapes the simulator and real images
+/// produce. kind 0: sibling-tile clusters (a 32-byte tile plus an 8-byte
+/// stamp, as the cloud engine's content model writes them); 1: periodic
+/// runs with periods 1-7 (RLE matches at offsets 1-7); 2: random bytes;
+/// 3: mixed runs of repeats, noise and copies of earlier bytes.
+std::vector<std::uint8_t> codec_input(int kind, std::size_t n, Rng& rng) {
+  std::vector<std::uint8_t> v(n);
+  switch (kind) {
+    case 0: {
+      std::uint8_t tile[32];
+      for (auto& b : tile) b = static_cast<std::uint8_t>(rng.next());
+      for (std::size_t i = 0; i < n; ++i) v[i] = tile[i % sizeof(tile)];
+      const std::uint64_t stamp = rng.next();
+      std::memcpy(v.data(), &stamp, std::min<std::size_t>(8, n));
+      break;
+    }
+    case 1: {
+      std::size_t i = 0;
+      while (i < n) {
+        const std::size_t period = 1 + rng.below(7);
+        std::uint8_t pat[7];
+        for (auto& b : pat) b = static_cast<std::uint8_t>(rng.next());
+        const std::size_t run =
+            std::min<std::size_t>(1 + rng.below(300), n - i);
+        for (std::size_t k = 0; k < run; ++k) v[i + k] = pat[k % period];
+        i += run;
+      }
+      break;
+    }
+    case 2:
+      for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
+      break;
+    default: {
+      std::size_t i = 0;
+      while (i < n) {
+        const std::size_t run = std::min<std::size_t>(1 + rng.below(64), n - i);
+        const std::uint64_t shape = rng.below(4);
+        if (shape == 0) {
+          std::memset(v.data() + i, static_cast<int>(rng.below(256)), run);
+        } else if (shape == 1 || i == 0) {
+          for (std::size_t k = 0; k < run; ++k) {
+            v[i + k] = static_cast<std::uint8_t>(rng.next());
+          }
+        } else {
+          // Copy from up to ~5 KiB back: matches inside and just past the
+          // 4 KiB window.
+          const std::size_t dist =
+              1 + rng.below(std::min<std::size_t>(i, 5000));
+          for (std::size_t k = 0; k < run; ++k) v[i + k] = v[i + k - dist];
+        }
+        i += run;
+      }
+      break;
+    }
+  }
+  return v;
+}
+
+TEST(CompressOracle, CompressMatchesReferenceBytes) {
+  const std::size_t sizes[] = {1,    2,    3,     4,     7,     8,
+                               9,    17,   18,    19,    31,    64,
+                               100,  511,  512,   513,   1000,  4095,
+                               4096, 4097, 12345, 65536, 2 << 20};
+  Rng rng{20241};
+  std::size_t compressed = 0;
+  for (const std::size_t n : sizes) {
+    for (int kind = 0; kind < 4; ++kind) {
+      // Big inputs run once per kind; small ones vary their content.
+      const int reps = n >= 65536 ? 1 : 6;
+      for (int rep = 0; rep < reps; ++rep) {
+        const auto src = codec_input(kind, n, rng);
+        const std::size_t max_outs[] = {n > 512 ? n - 512 : n, n,
+                                        1 + rng.below(n / 8 + 1)};
+        for (const std::size_t max_out : max_outs) {
+          std::vector<std::uint8_t> want(max_out, 0xee);
+          std::vector<std::uint8_t> got(max_out, 0xee);
+          const std::size_t wn = ref::lzss_compress(src, want, max_out);
+          const std::size_t gn = lzss_compress(src, got, max_out);
+          ASSERT_EQ(gn, wn) << "kind " << kind << " n " << n << " max_out "
+                            << max_out;
+          ASSERT_TRUE(std::equal(got.begin(), got.begin() + gn, want.begin()))
+              << "kind " << kind << " n " << n << " max_out " << max_out;
+          compressed += gn > 0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compressed, 100u);  // the oracle saw real streams, not just 0s
+}
+
+TEST(CompressOracle, DecompressMatchesReferenceOnHostileStreams) {
+  Rng rng{9001};
+  std::size_t both_ok = 0;
+  std::size_t both_rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const int kind = static_cast<int>(rng.below(4));
+    const std::size_t n =
+        iter % 50 == 0 ? 65536 : (rng.chance(0.5) ? 4096 : 1 + rng.below(6000));
+    const auto plain = codec_input(kind, n, rng);
+    std::vector<std::uint8_t> stream(n + 64);
+    std::size_t sn = ref::lzss_compress(plain, stream, n);
+    if (sn == 0) {
+      // Incompressible: decode noise instead.
+      sn = 1 + rng.below(n);
+      for (std::size_t i = 0; i < sn; ++i) {
+        stream[i] = static_cast<std::uint8_t>(rng.next());
+      }
+    }
+    stream.resize(sn);
+
+    // Mutate: 0 valid, 1 truncated, 2 bit flips, 3 sector-padded (zeros
+    // or garbage after the stream).
+    switch (rng.below(4)) {
+      case 1:
+        stream.resize(rng.below(stream.size()));
+        break;
+      case 2:
+        for (std::uint64_t f = 1 + rng.below(4); f > 0; --f) {
+          stream[rng.below(stream.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      case 3: {
+        const bool garbage = rng.chance(0.5);
+        const std::size_t padded = (stream.size() + 511) / 512 * 512;
+        while (stream.size() < padded) {
+          stream.push_back(garbage ? static_cast<std::uint8_t>(rng.next())
+                                   : 0);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+
+    // dst exact, short or long.
+    std::size_t dn = n;
+    const std::uint64_t shape = rng.below(4);
+    if (shape == 1) dn = rng.below(n + 1);
+    if (shape == 2) dn = n + 1 + rng.below(300);
+    std::vector<std::uint8_t> want(dn, 0x5c);
+    std::vector<std::uint8_t> got(dn, 0xc5);
+    const bool wok = ref::lzss_decompress(stream, want);
+    const bool gok = lzss_decompress(stream, got);
+    ASSERT_EQ(gok, wok) << "iteration " << iter;
+    if (wok) {
+      ASSERT_EQ(got, want) << "iteration " << iter;
+      ++both_ok;
+    } else {
+      ++both_rejected;
+    }
+  }
+  // Both outcomes are exercised in volume.
+  EXPECT_GT(both_ok, 300u);
+  EXPECT_GT(both_rejected, 300u);
 }
 
 }  // namespace
