@@ -435,5 +435,167 @@ TEST(GoldenMetrics, RestartAdoptPinnedValues) {
   EXPECT_EQ(m.counter_total("manifest.publishes"), 42u);
 }
 
+// The tiered paths pin like the plain ones: every CloudResult counter,
+// the event count and the deploy percentiles of a peer-tier run and of a
+// run with every tier on. Peer fetches, content-keyed dedup fetches,
+// rebases, salvage, adoption and drains each hand a cache file between
+// coroutines under a pin/hold protocol; any change to that protocol's
+// ordering or I/O shows up here as drift.
+
+void expect_cloud_counters_match(const cloud::CloudResult& r) {
+  const obs::MetricsSnapshot& m = r.metrics;
+  EXPECT_EQ(m.counter_total("cloud.arrivals"),
+            static_cast<std::uint64_t>(r.arrivals));
+  EXPECT_EQ(m.counter_total("cloud.completed"),
+            static_cast<std::uint64_t>(r.completed));
+  const obs::MetricPoint* hist = m.find("cloud.deploy_seconds");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, static_cast<std::uint64_t>(r.completed));
+}
+
+// Peer tier on, dedup off: 12 Zipf-skewed images, a tight node cache,
+// three node crashes and a 0.2 ms transfer deadline, so seed hits, miss
+// and timeout fallbacks, and crash deregistrations all occur.
+TEST(GoldenMetrics, PeerCloudPinnedValues) {
+  cloud::CloudConfig cfg;
+  cfg.seed = 9;
+  cfg.horizon_s = 180.0;
+  cfg.workload.num_vmis = 12;
+  cfg.workload.zipf_exponent = 1.1;
+  cfg.workload.mean_interarrival_s = 7.2;
+  cfg.cluster.node_cache_capacity = 96 * MiB;
+  cfg.peer_transfer = true;
+  cfg.peer.timeout_s = 0.0002;
+  Rng plan_rng(cfg.seed ^ 0xFA11ull);
+  cfg.failures = cloud::plan_failures(3, 0, cfg.cluster.compute_nodes,
+                                      cfg.horizon_s, plan_rng);
+  const cloud::CloudResult r = cloud::run_cloud(cfg);
+
+  EXPECT_EQ(r.sim_events, 559734u);
+  EXPECT_EQ(r.storage_payload_bytes, 519773696u);
+  EXPECT_EQ(r.arrivals, 15);
+  EXPECT_EQ(r.completed, 15);
+  EXPECT_EQ(r.aborted, 0);
+  EXPECT_EQ(r.rejected, 0);
+  EXPECT_EQ(r.retries, 0);
+  EXPECT_EQ(r.deploy_failures, 0);
+  EXPECT_EQ(r.crash_kills, 0);
+  EXPECT_EQ(r.vm_crashes, 2);
+  EXPECT_EQ(r.warm_hits, 5);
+  EXPECT_EQ(r.copyback_skips, 0);
+  EXPECT_EQ(r.node_crashes, 3);
+  EXPECT_EQ(r.node_recoveries, 3);
+  EXPECT_EQ(r.caches_salvaged, 0);
+  EXPECT_EQ(r.caches_invalidated, 0);
+  EXPECT_EQ(r.restarts, 0);
+  EXPECT_EQ(r.drains, 0);
+  EXPECT_EQ(r.caches_readopted, 0);
+  EXPECT_EQ(r.adopt_failures, 0);
+  EXPECT_EQ(r.adopt_stale, 0);
+  EXPECT_EQ(r.manifest_publishes, 0u);
+  EXPECT_EQ(r.post_restart_storage_bytes, 0u);
+  EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.cache_evictions, 0u);
+  EXPECT_EQ(r.peer_seed_hits, 2791u);
+  EXPECT_EQ(r.peer_fallback_fills, 29458u);
+  EXPECT_EQ(r.peer_bytes_served, 16597504u);
+  EXPECT_EQ(r.peer_timeouts, 346u);
+  EXPECT_EQ(r.dedup_local_hits, 0u);
+  EXPECT_EQ(r.dedup_zero_fills, 0u);
+  EXPECT_EQ(r.dedup_peer_hits, 0u);
+  EXPECT_EQ(r.dedup_fallbacks, 0u);
+  EXPECT_EQ(r.dedup_bytes_served, 0u);
+  EXPECT_EQ(r.updates_published, 0);
+  EXPECT_EQ(r.caches_rebased, 0);
+  EXPECT_EQ(r.update_invalidations, 0);
+  EXPECT_EQ(r.rebase_patched_clusters, 0u);
+  EXPECT_EQ(r.rebase_reused_clusters, 0u);
+  EXPECT_EQ(r.post_update_storage_bytes, 0u);
+  EXPECT_EQ(r.peak_queue_depth, 1u);
+  EXPECT_NEAR(r.deploy.p50, 10.908486293, 1e-9);
+  EXPECT_NEAR(r.deploy.p99, 12.324467616, 1e-9);
+
+  expect_cloud_counters_match(r);
+  const obs::MetricPoint* miss =
+      r.metrics.find("peer.fallback", {{"reason", "miss"}});
+  ASSERT_NE(miss, nullptr);
+  EXPECT_EQ(miss->counter, 29112u);
+}
+
+// Every tier at once, built exactly as `vmi-cloudsim --hours 0.35
+// --seed 5 --vmis 8 --siblings 4 --cluster-bits 12 --content-mib 64
+// --peer on --dedup on --compress on --manifest on --drain 1 --drain-at
+// 0.15 --fail-nodes 2 --updates on --update-policy rebase --update-rate
+// 8` builds it (CI smoke-runs that command for determinism): local and
+// peer dedup hits, a salvage, an adoption after the drain, and rebases.
+TEST(GoldenMetrics, TieredChurnPinnedValues) {
+  cloud::CloudConfig cfg;
+  cfg.seed = 5;
+  cfg.horizon_s = 0.35 * 3600.0;
+  cfg.workload.num_vmis = 8;
+  cfg.sibling_group_size = 4;
+  cfg.cache_cluster_bits = 12;
+  cfg.content_bytes = 64 * MiB;
+  cfg.peer_transfer = true;
+  cfg.dedup = true;
+  cfg.cache_compress = true;
+  cfg.manifest = true;
+  cfg.drain_node = 1;
+  cfg.drain_at_s = 0.15 * 3600.0;
+  cfg.updates.enabled = true;
+  cfg.updates.policy = update::Policy::rebase;
+  cfg.updates.rate_per_hour = 8.0;
+  Rng plan_rng(cfg.seed ^ 0xFA11'FA11'FA11'FA11ull);
+  cfg.failures = cloud::plan_failures(2, 0, cfg.cluster.compute_nodes,
+                                      cfg.horizon_s, plan_rng);
+  const cloud::CloudResult r = cloud::run_cloud(cfg);
+
+  EXPECT_EQ(r.sim_events, 527623u);
+  EXPECT_EQ(r.storage_payload_bytes, 43179528u);
+  EXPECT_EQ(r.arrivals, 29);
+  EXPECT_EQ(r.completed, 29);
+  EXPECT_EQ(r.aborted, 0);
+  EXPECT_EQ(r.rejected, 0);
+  EXPECT_EQ(r.retries, 0);
+  EXPECT_EQ(r.deploy_failures, 0);
+  EXPECT_EQ(r.crash_kills, 0);
+  EXPECT_EQ(r.vm_crashes, 0);
+  EXPECT_EQ(r.warm_hits, 21);
+  EXPECT_EQ(r.copyback_skips, 0);
+  EXPECT_EQ(r.node_crashes, 2);
+  EXPECT_EQ(r.node_recoveries, 2);
+  EXPECT_EQ(r.caches_salvaged, 1);
+  EXPECT_EQ(r.caches_invalidated, 0);
+  EXPECT_EQ(r.restarts, 0);
+  EXPECT_EQ(r.drains, 1);
+  EXPECT_EQ(r.caches_readopted, 1);
+  EXPECT_EQ(r.adopt_failures, 0);
+  EXPECT_EQ(r.adopt_stale, 0);
+  EXPECT_EQ(r.manifest_publishes, 44u);
+  EXPECT_EQ(r.post_restart_storage_bytes, 0u);
+  EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.cache_evictions, 0u);
+  EXPECT_EQ(r.peer_seed_hits, 0u);
+  EXPECT_EQ(r.peer_fallback_fills, 771u);
+  EXPECT_EQ(r.peer_bytes_served, 0u);
+  EXPECT_EQ(r.peer_timeouts, 0u);
+  EXPECT_EQ(r.dedup_local_hits, 13u);
+  EXPECT_EQ(r.dedup_zero_fills, 70011u);
+  EXPECT_EQ(r.dedup_peer_hits, 187u);
+  EXPECT_EQ(r.dedup_fallbacks, 1503u);
+  EXPECT_EQ(r.dedup_bytes_served, 214847488u);
+  EXPECT_EQ(r.updates_published, 2);
+  EXPECT_EQ(r.caches_rebased, 3);
+  EXPECT_EQ(r.update_invalidations, 0);
+  EXPECT_EQ(r.rebase_patched_clusters, 37u);
+  EXPECT_EQ(r.rebase_reused_clusters, 20083u);
+  EXPECT_EQ(r.post_update_storage_bytes, 10614280u);
+  EXPECT_EQ(r.peak_queue_depth, 1u);
+  EXPECT_NEAR(r.deploy.p50, 6.089162169, 1e-9);
+  EXPECT_NEAR(r.deploy.p99, 6.817292327, 1e-9);
+
+  expect_cloud_counters_match(r);
+}
+
 }  // namespace
 }  // namespace vmic::cluster
