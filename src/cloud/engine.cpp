@@ -290,9 +290,50 @@ class Engine {
     cl_.env.spawn(arrivals());
     cl_.env.run();
 
-    for (std::size_t i = 0; i < sched_.size(); ++i) {
-      res_.leaked_slots += sched_[i].running_vms + rt_[i].inflight;
+    // CloudResult's counters are the registry's own, read once here; a
+    // tier that is off never created its counters, which then read 0.
+    auto n = [](const obs::Counter* c) -> std::uint64_t {
+      return c != nullptr ? c->value() : 0;
+    };
+    auto i = [&](const obs::Counter* c) { return static_cast<int>(n(c)); };
+    res_.arrivals = i(c_arrivals_);
+    res_.completed = i(c_completed_);
+    res_.aborted = i(c_aborted_);
+    res_.rejected = i(c_rejected_);
+    res_.retries = i(c_retries_);
+    res_.deploy_failures = i(c_deploy_failures_);
+    res_.crash_kills = i(c_crash_kills_);
+    res_.vm_crashes = i(c_vm_crashes_);
+    res_.warm_hits = i(c_warm_hits_);
+    res_.copyback_skips = i(c_copyback_skips_);
+    res_.node_crashes = i(c_node_crashes_);
+    res_.node_recoveries = i(c_node_recoveries_);
+    res_.caches_salvaged = i(c_cache_salvaged_);
+    res_.caches_invalidated = i(c_cache_invalidated_);
+    res_.restarts = i(c_restarts_);
+    res_.drains = i(c_drains_);
+    res_.caches_readopted = i(c_adopt_ok_);
+    res_.adopt_failures = i(c_adopt_failed_);
+    res_.adopt_stale = i(c_adopt_stale_);
+    res_.manifest_publishes = n(c_manifest_pub_);
+    res_.peer_seed_hits = n(c_peer_hits_);
+    res_.peer_fallback_fills = n(c_peer_fallback_);
+    res_.peer_timeouts = fabric_ ? fabric_->timeouts() : 0;
+    res_.dedup_local_hits = n(c_dedup_local_);
+    res_.dedup_zero_fills = n(c_dedup_zero_);
+    res_.dedup_peer_hits = n(c_dedup_peer_);
+    res_.dedup_fallbacks = n(c_dedup_fallback_);
+    res_.dedup_bytes_served = n(c_dedup_bytes_local_) +
+                              n(c_dedup_bytes_zero_) + n(c_dedup_bytes_peer_);
+    res_.updates_published = i(c_upd_published_);
+    res_.caches_rebased = i(c_upd_rebased_);
+    res_.update_invalidations = i(c_upd_invalidated_);
+    res_.rebase_patched_clusters = n(c_upd_patched_);
+    res_.rebase_reused_clusters = n(c_upd_reused_);
+    for (std::size_t k = 0; k < sched_.size(); ++k) {
+      res_.leaked_slots += sched_[k].running_vms + rt_[k].inflight;
     }
+    res_.leaked_cache_refs = audit_cache_refs();
     res_.sim_seconds = sim::to_seconds(cl_.env.now());
     res_.sim_events = cl_.env.events_processed();
     res_.cache_hit_ratio =
@@ -383,6 +424,32 @@ class Engine {
 
   // --- small helpers ---------------------------------------------------------
 
+  /// End-of-run audit of the cache lifecycle: every hold dropped, every
+  /// zombie reclaimed, no pool entry pinned, and no cache file of a known
+  /// (VMI, version) on a node's disk that its mirror does not list.
+  int audit_cache_refs() const {
+    int leaked = 0;
+    for (std::size_t ni = 0; ni < rt_.size(); ++ni) {
+      const NodeRuntime& rt = rt_[ni];
+      const ComputeNode& node = *cl_.nodes[ni];
+      for (const auto& [v, users] : rt.cache_users) leaked += users;
+      leaked += static_cast<int>(rt.zombies.size());
+      for (int vmi = 0; vmi < num_vmis_; ++vmi) {
+        for (std::uint32_t ver = 0;
+             ver <= catalog_ver_[static_cast<std::size_t>(vmi)]; ++ver) {
+          const VKey vk = vkey(vmi, ver);
+          const std::string img = img_name(vk);
+          if (node.pool.pinned(img)) ++leaked;
+          if (rt.disk_caches.count(vk) == 0 &&
+              node.disk_dir.exists(cluster::cache_file_for(img))) {
+            ++leaked;
+          }
+        }
+      }
+    }
+    return leaked;
+  }
+
   sim::Mutex& prep_mutex(int ni, int vmi) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ni)) << 32) |
@@ -425,11 +492,29 @@ class Engine {
     }
   }
 
-  void release_cache(int ni, VKey vk, bool pinned) {
-    if (pinned) {
-      cl_.nodes[static_cast<std::size_t>(ni)]->pool.unpin(img_name(vk));
+  /// Delete a cache file now or, while someone still has it open, make
+  /// it a zombie that the last drop_file deletes.
+  void drop_or_zombify(int ni, VKey vk) {
+    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    if (rt.cache_users.count(vk) != 0) {
+      rt.zombies.insert(vk);
+      return;
     }
+    auto& dd = cl_.nodes[static_cast<std::size_t>(ni)]->disk_dir;
+    const std::string cache = cluster::cache_file_for(img_name(vk));
+    if (dd.exists(cache)) dd.remove(cache);
+    rt.disk_caches.erase(vk);
+  }
+
+  /// A deployment is done with its cache: unpin it and drop its hold.
+  void release_cache(int ni, VKey vk) {
+    cl_.nodes[static_cast<std::size_t>(ni)]->pool.unpin(img_name(vk));
     drop_file(ni, vk);
+  }
+
+  /// Is `vk` the catalog's current version of its VMI?
+  [[nodiscard]] bool current(VKey vk) const {
+    return vk_ver(vk) == catalog_ver_[static_cast<std::size_t>(vk_vmi(vk))];
   }
 
   /// A warm hit on a file the pool does not account for: either a zombie
@@ -446,14 +531,20 @@ class Engine {
     rt.zombies.erase(vk);
     rt.disk_caches.insert(vk);
     auto size = node.disk_dir.file_size(cache);
-    const auto ar =
-        node.pool.admit(img, size.ok() ? *size : cfg_.cache_quota);
-    for (const auto& victim : ar.evicted) {
+    evicted(ni, node.pool.admit(img, size.ok() ? *size : cfg_.cache_quota)
+                    .evicted);
+  }
+
+  /// The pool evicted `victims` (unpinned by construction, so their files
+  /// are safe to delete): delete any file still on disk and drop them
+  /// from the disk mirror and the tiers.
+  void evicted(int ni, const std::vector<std::string>& victims) {
+    auto& dd = cl_.nodes[static_cast<std::size_t>(ni)]->disk_dir;
+    for (const auto& victim : victims) {
       const std::string vf = cluster::cache_file_for(victim);
-      if (node.disk_dir.exists(vf)) node.disk_dir.remove(vf);
-      rt.disk_caches.erase(vkey_of(victim));
-      peer_deregister(ni, victim);
-      dedup_forget(ni, victim);
+      if (dd.exists(vf)) dd.remove(vf);
+      rt_[static_cast<std::size_t>(ni)].disk_caches.erase(vkey_of(victim));
+      forget_tiers(ni, victim);
     }
   }
 
@@ -470,8 +561,7 @@ class Engine {
       rt.zombies.erase(vk);
       node.disk_dir.remove(cache);
       rt.disk_caches.erase(vk);
-      peer_deregister(ni, img);
-      dedup_forget(ni, img);
+      forget_tiers(ni, img);
     }
   }
 
@@ -508,39 +598,153 @@ class Engine {
     ws = std::move(warm);
   }
 
-  // --- peer cache tier -------------------------------------------------------
+  // --- cache lifecycle (DESIGN.md, "Cache lifecycle") ------------------------
+  //
+  // A cache file that some coroutine reads outside a deployment chain is
+  // leased; caches enter the pool, seed registry and fingerprint index
+  // through register_tiers and leave through forget_tiers; crash salvage
+  // and manifest adoption share one verify pass.
 
   using MapKind = qcow2::Qcow2Device::MapKind;
+  using Extents = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-  /// Drop one (node, image) seed registration. Safe to call on the
-  /// eviction/scrub paths unconditionally: a no-op when the tier is off
-  /// or the node never registered.
-  void peer_deregister(int ni, const std::string& img) {
-    if (!cfg_.peer_transfer) return;
-    if (seeds_.deregister(ni, img)) c_peer_dereg_->inc();
+  /// One reader's claim on node `node`'s cache of `vk`, from lease() to
+  /// release().
+  struct CacheLease {
+    int node = -1;
+    VKey vk = 0;
+    bool upload = false;      ///< another node reads it: holds an upload slot
+    std::uint64_t epoch = 0;  ///< the node's epoch when leased
+    block::DevicePtr dev;
+    qcow2::Qcow2Device* q = nullptr;  ///< null when the open failed
+  };
+
+  /// Pin the file (eviction must not yank it), hold it (a crash must not
+  /// delete it under the open backend), take an upload slot when another
+  /// node reads it, and open it read-only with no backing chain: a lease
+  /// serves only the file's own clusters and never recurses into its
+  /// node's NFS-mounted base. Nothing suspends before the pin, so a pool
+  /// check the caller made just before still holds.
+  sim::Task<CacheLease> lease(int src, VKey vk, int reader) {
+    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(src)];
+    const std::string img = img_name(vk);
+    CacheLease l{src, vk, src != reader,
+                 rt_[static_cast<std::size_t>(src)].epoch, nullptr, nullptr};
+    node.pool.pin(img);
+    hold_file(src, vk);
+    if (l.upload) seeds_.begin_upload(src);
+    auto backend = node.fs.open_file("disk/" + cluster::cache_file_for(img),
+                                     /*writable=*/false);
+    if (backend.ok()) {
+      block::OpenOptions o;
+      o.writable = false;
+      o.no_backing = true;
+      o.hub = cl_.obs;
+      auto dv = co_await qcow2::open_any(std::move(*backend), o);
+      if (dv.ok()) {
+        l.dev = std::move(*dv);
+        l.q = dynamic_cast<qcow2::Qcow2Device*>(l.dev.get());
+      }
+    }
+    co_return l;
   }
 
-  /// Crash: every cache the node held is suspect, so its whole seed
-  /// footprint vanishes at once. Salvage re-registers the survivors.
-  void peer_deregister_node(int ni) {
-    if (!cfg_.peer_transfer) return;
-    const std::size_t n = seeds_.deregister_node(ni);
-    if (n > 0) c_peer_dereg_->inc(n);
+  /// Close, end the upload, drop the hold, unpin. Close comes first:
+  /// dropping the last hold reclaims a zombie by removing its file, and
+  /// SimDirectory::remove under an open backend is forbidden.
+  sim::Task<void> release(CacheLease& l) {
+    if (l.dev) (void)co_await l.dev->close();
+    if (l.upload) seeds_.end_upload(l.node);
+    drop_file(l.node, l.vk);
+    cl_.nodes[static_cast<std::size_t>(l.node)]->pool.unpin(img_name(l.vk));
   }
 
-  /// Open a seed's cache file read-only with no backing chain: the peer
-  /// path must serve only locally-allocated clusters and must never
-  /// recurse into the seed's own NFS-mounted base image.
-  sim::Task<Result<block::DevicePtr>> open_cache_standalone(
-      cluster::ComputeNode& node, const std::string& cache) {
-    auto backend = node.fs.open_file("disk/" + cache, /*writable=*/false);
-    if (!backend.ok()) co_return backend.error();
-    block::OpenOptions o;
-    o.writable = false;
-    o.no_backing = true;
-    o.hub = cl_.obs;
-    co_return co_await qcow2::open_any(std::move(*backend), o);
+  /// False once the leased file's node has crashed since the lease.
+  [[nodiscard]] bool alive(const CacheLease& l) const {
+    return rt_[static_cast<std::size_t>(l.node)].epoch == l.epoch;
   }
+
+  /// Re-admit node `ni`'s verified cache of `vk` to the pool, register it
+  /// as a peer seed covering `extents`, and index their content.
+  void register_tiers(int ni, VKey vk, const Extents& extents) {
+    readopt(ni, vk);
+    const std::string img = img_name(vk);
+    if (cfg_.peer_transfer && seeds_.register_seed(ni, img)) {
+      c_peer_reg_->inc();
+    }
+    for (const auto& [lo, hi] : extents) {
+      if (cfg_.peer_transfer) seeds_.add_coverage(ni, img, lo, hi);
+      if (cfg_.dedup) index_fill(ni, vk, lo, hi);
+    }
+  }
+
+  /// Node `ni`'s cache of `img` is gone: drop its seed registration and
+  /// its indexed content. A no-op for a tier that is off.
+  void forget_tiers(int ni, const std::string& img) {
+    if (cfg_.peer_transfer && seeds_.deregister(ni, img)) c_peer_dereg_->inc();
+    if (!cfg_.dedup) return;
+    didx_[static_cast<std::size_t>(ni)].remove_image(img);
+    if (cfg_.peer_transfer) seeds_.deregister_content(ni, img);
+  }
+
+  /// The node went down: every cache it held is suspect, so its whole
+  /// seed footprint and index vanish at once. Salvage and adoption
+  /// re-register the survivors.
+  void forget_node_tiers(int ni) {
+    if (cfg_.peer_transfer) {
+      const std::size_t n = seeds_.deregister_node(ni);
+      if (n > 0) c_peer_dereg_->inc(n);
+    }
+    if (!cfg_.dedup) return;
+    didx_[static_cast<std::size_t>(ni)] = dedup::FingerprintIndex{};
+    if (cfg_.peer_transfer) seeds_.deregister_content_node(ni);
+  }
+
+  /// Walk `q`'s allocated extents in order, calling `on_extent(lo, hi)`
+  /// as the walk reaches each one; stops at the first map error.
+  template <typename Fn>
+  sim::Task<void> walk_extents(qcow2::Qcow2Device& q, Fn on_extent) {
+    std::uint64_t off = 0;
+    while (off < q.size()) {
+      auto ms = co_await q.map_status(off, q.size() - off);
+      if (!ms.ok() || ms->len == 0) break;
+      if (ms->kind != MapKind::unallocated) on_extent(off, off + ms->len);
+      off += ms->len;
+    }
+  }
+
+  /// The verify pass of crash salvage and manifest adoption: hold the
+  /// file, open it writable (a dirty image auto-repairs), `check` it and,
+  /// when a tier will advertise it, collect the allocated extents repair
+  /// left behind; then close and drop. Nothing when the cache is not
+  /// clean. The open and check reads charge the node's disk: verifying
+  /// costs less than re-warming.
+  sim::Task<std::optional<Extents>> verify_cache(int ni, VKey vk) {
+    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
+    hold_file(ni, vk);
+    std::optional<Extents> extents;
+    auto dv = co_await qcow2::open_image(
+        node.fs, "disk/" + cluster::cache_file_for(img_name(vk)),
+        /*writable=*/true, /*cache_backing_ro=*/false, cl_.obs);
+    if (dv.ok()) {
+      if (auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get())) {
+        auto chk = co_await q->check();
+        if (chk.ok() && chk->clean()) {
+          extents.emplace();
+          if (cfg_.peer_transfer || cfg_.dedup) {
+            co_await walk_extents(*q, [&](std::uint64_t lo, std::uint64_t hi) {
+              extents->emplace_back(lo, hi);
+            });
+          }
+        }
+      }
+      (void)co_await (*dv)->close();
+    }
+    drop_file(ni, vk);
+    co_return extents;
+  }
+
+  // --- peer cache tier -------------------------------------------------------
 
   /// Hook a freshly-opened deployment chain into the peer and dedup
   /// tiers. The CoW overlay's backing device is this node's cache image:
@@ -564,16 +768,12 @@ class Engine {
     const bool want_idx =
         cfg_.dedup && !didx_[static_cast<std::size_t>(ni)].has_image(img);
     if (want_cov || want_idx) {
-      std::uint64_t off = 0;
-      while (off < q->size()) {
-        auto ms = co_await q->map_status(off, q->size() - off);
-        if (!ms.ok() || ms->len == 0) break;
-        if (ms->kind != MapKind::unallocated) {
-          if (want_cov) seeds_.add_coverage(ni, img, off, off + ms->len);
-          if (want_idx) index_fill(ni, vk, off, off + ms->len);
-        }
-        off += ms->len;
-      }
+      // Register each extent as the walk reaches it: peers see coverage
+      // grow while later map_status reads are still in flight.
+      co_await walk_extents(*q, [&](std::uint64_t lo, std::uint64_t hi) {
+        if (want_cov) seeds_.add_coverage(ni, img, lo, hi);
+        if (want_idx) index_fill(ni, vk, lo, hi);
+      });
     }
     q->set_cor_fill_observer(
         [this, ni, vk, img](std::uint64_t lo, std::uint64_t hi) {
@@ -672,18 +872,34 @@ class Engine {
     }
   }
 
-  /// The node's cache of `img` is gone: forget its indexed content.
-  void dedup_forget(int ni, const std::string& img) {
-    if (!cfg_.dedup) return;
-    didx_[static_cast<std::size_t>(ni)].remove_image(img);
-    if (cfg_.peer_transfer) seeds_.deregister_content(ni, img);
-  }
+  /// One contiguous piece of a backing fetch served from a cache image.
+  struct Chunk {
+    std::uint64_t dst_off = 0;  ///< offset into the fetch's buffer
+    std::uint64_t src_pos = 0;  ///< byte position in the source image
+    std::uint64_t len = 0;
+  };
 
-  /// Crash: the node's whole index is suspect, like its seed footprint.
-  void dedup_forget_node(int ni) {
-    if (!cfg_.dedup) return;
-    didx_[static_cast<std::size_t>(ni)] = dedup::FingerprintIndex{};
-    if (cfg_.peer_transfer) seeds_.deregister_content_node(ni);
+  /// Read `chunks` of a leased cache into `dst` and verify each against
+  /// `vk`'s base content. Returns the bytes read, or 0 when a read fails,
+  /// a chunk does not verify, or a remote seed crashed meanwhile (the
+  /// requester's own node crashing is its deployment's concern).
+  sim::Task<std::uint64_t> read_chunks(const CacheLease& l, VKey vk,
+                                       std::uint64_t vaddr,
+                                       std::span<std::uint8_t> dst,
+                                       const std::vector<Chunk>& chunks) {
+    if (l.q == nullptr || (l.upload && !alive(l))) co_return 0;
+    std::uint64_t bytes = 0;
+    for (const Chunk& ch : chunks) {
+      auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
+                             static_cast<std::size_t>(ch.len));
+      auto rr = co_await l.q->read(ch.src_pos, sub);
+      if (!rr.ok() || (l.upload && !alive(l)) ||
+          !verify_content(vk, vaddr + ch.dst_off, sub)) {
+        co_return 0;
+      }
+      bytes += ch.len;
+    }
+    co_return bytes;
   }
 
   /// Serve one backing fetch by content: per overlapped cluster, zero
@@ -701,12 +917,6 @@ class Engine {
     ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
     auto& di = didx_[static_cast<std::size_t>(ni)];
     const std::string self = img_name(vk);
-
-    struct Chunk {
-      std::uint64_t dst_off = 0;  ///< offset into dst
-      std::uint64_t src_pos = 0;  ///< byte position in the source cache
-      std::uint64_t len = 0;
-    };
     std::uint64_t zero_bytes = 0;
     std::uint64_t zero_hits = 0;
     std::map<std::string, std::vector<Chunk>> local;  // source image -> chunks
@@ -718,7 +928,6 @@ class Engine {
     const std::uint64_t end = vaddr + dst.size();
     const std::uint64_t range_clusters = (end - 1) / ccs - vaddr / ccs + 1;
     auto fallthrough = [&]() {
-      res_.dedup_fallbacks += range_clusters;
       c_dedup_fallback_->inc(range_clusters);
       return false;
     };
@@ -764,101 +973,43 @@ class Engine {
     }
 
     // Serve phase. Zero chunks are already memset. Local groups read the
-    // sibling cache through a standalone read-only device — charging this
-    // node's own disk, which is the point: a local copy beats an NFS
-    // round-trip. The verify guards against index staleness (an evicted-
-    // then-recreated file) the same way the peer path re-verifies.
+    // sibling cache on this node's own disk, which is the point: a local
+    // copy beats an NFS round-trip. Remote groups are fingerprint-keyed
+    // peer fetches: addressed by content, so the serving image need not
+    // be the requested one. Verifying every chunk guards against index
+    // staleness (an evicted-then-recreated file).
     std::uint64_t local_bytes = 0;
     std::uint64_t local_hits = 0;
     for (const auto& [src_img, chunks] : local) {
-      const VKey sv = vkey_of(src_img);
-      if (!node.pool.contains(src_img)) {
-        co_return fallthrough();
-      }
-      node.pool.pin(src_img);
-      hold_file(ni, sv);
-      bool good = false;
-      auto dv =
-          co_await open_cache_standalone(node, cluster::cache_file_for(src_img));
-      if (dv.ok()) {
-        auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-        if (q != nullptr) {
-          good = true;
-          for (const Chunk& ch : chunks) {
-            auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
-                                   static_cast<std::size_t>(ch.len));
-            auto rr = co_await q->read(ch.src_pos, sub);
-            if (!rr.ok() || !verify_content(vk, vaddr + ch.dst_off, sub)) {
-              good = false;
-              break;
-            }
-            local_bytes += ch.len;
-            ++local_hits;
-          }
-        }
-        (void)co_await (*dv)->close();
-      }
-      drop_file(ni, sv);
-      node.pool.unpin(src_img);
-      if (!good) {
-        co_return fallthrough();
-      }
+      if (!node.pool.contains(src_img)) co_return fallthrough();
+      CacheLease l = co_await lease(ni, vkey_of(src_img), ni);
+      const std::uint64_t got = co_await read_chunks(l, vk, vaddr, dst, chunks);
+      co_await release(l);
+      if (got == 0) co_return fallthrough();
+      local_bytes += got;
+      local_hits += chunks.size();
     }
-
-    // Remote groups: fingerprint-keyed peer fetch — same pin/hold/epoch
-    // discipline as peer_fetch, but addressed by content, so the serving
-    // image need not be the requested one.
     std::uint64_t peer_bytes = 0;
     std::uint64_t peer_hits = 0;
     for (const auto& [key, chunks] : remote) {
       const auto& [sn, src_img] = key;
-      NodeRuntime& srt = rt_[static_cast<std::size_t>(sn)];
-      ComputeNode& snode = *cl_.nodes[static_cast<std::size_t>(sn)];
-      if (!srt.up || !snode.pool.contains(src_img)) {
+      if (!rt_[static_cast<std::size_t>(sn)].up ||
+          !cl_.nodes[static_cast<std::size_t>(sn)]->pool.contains(src_img)) {
         co_return fallthrough();
       }
-      const std::uint64_t seed_epoch = srt.epoch;
-      const VKey sv = vkey_of(src_img);
-      snode.pool.pin(src_img);
-      hold_file(sn, sv);
-      seeds_.begin_upload(sn);
-      bool good = false;
-      std::uint64_t moved = 0;
-      auto dv = co_await open_cache_standalone(
-          snode, cluster::cache_file_for(src_img));
-      if (dv.ok()) {
-        auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-        if (q != nullptr && srt.epoch == seed_epoch) {
-          good = true;
-          for (const Chunk& ch : chunks) {
-            auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
-                                   static_cast<std::size_t>(ch.len));
-            auto rr = co_await q->read(ch.src_pos, sub);
-            if (!rr.ok() || srt.epoch != seed_epoch ||
-                !verify_content(vk, vaddr + ch.dst_off, sub)) {
-              good = false;
-              break;
-            }
-            moved += ch.len;
-          }
-          if (good) {
-            const bool done = co_await fabric_->transfer(
-                sn, ni, moved + cfg_.peer.per_fetch_overhead);
-            good = done && srt.epoch == seed_epoch;
-            if (!done) ++res_.peer_timeouts;
-          }
-        }
-        (void)co_await (*dv)->close();
+      CacheLease l = co_await lease(sn, vkey_of(src_img), ni);
+      const std::uint64_t moved =
+          co_await read_chunks(l, vk, vaddr, dst, chunks);
+      bool good = moved > 0;
+      if (good) {
+        good = co_await fabric_->transfer(
+                   sn, ni, moved + cfg_.peer.per_fetch_overhead) &&
+               alive(l);
       }
-      seeds_.end_upload(sn);
-      drop_file(sn, sv);
-      snode.pool.unpin(src_img);
-      if (!good) {
-        co_return fallthrough();
-      }
+      co_await release(l);
+      if (!good) co_return fallthrough();
       peer_bytes += moved;
       peer_hits += chunks.size();
-      seeds_.add_bytes_served(sn, moved);
       c_peer_node_bytes_[static_cast<std::size_t>(sn)]->inc(moved);
       c_peer_bytes_avoided_->inc(moved);
     }
@@ -893,15 +1044,10 @@ class Engine {
       if (!good) {
         co_return fallthrough();
       }
-      res_.dedup_fallbacks += nfs.size();
       c_dedup_fallback_->inc(nfs.size());
     }
 
     // Whole range served — commit the accounting.
-    res_.dedup_local_hits += local_hits;
-    res_.dedup_peer_hits += peer_hits;
-    res_.dedup_zero_fills += zero_hits;
-    res_.dedup_bytes_served += zero_bytes + local_bytes + peer_bytes;
     if (local_hits > 0) c_dedup_local_->inc(local_hits);
     if (peer_hits > 0) c_dedup_peer_->inc(peer_hits);
     if (zero_hits > 0) {
@@ -915,7 +1061,6 @@ class Engine {
 
   /// Account one fetch that fell back to the storage node's NFS mount.
   void peer_fallback(obs::Counter* reason) {
-    ++res_.peer_fallback_fills;
     c_peer_fallback_->inc();
     reason->inc();
   }
@@ -924,89 +1069,59 @@ class Engine {
   /// `dst` filled peer-to-peer, false = fall back to NFS (coverage miss,
   /// every seed loaded, transfer timeout, or the seed crashing
   /// mid-transfer). Lock order: the requester holds only its own device's
-  /// CoR in-flight range; the seed side is a fresh read-only standalone
-  /// device (own lock hierarchy, never takes an alloc lock), so the two
-  /// nodes' orders cannot interleave with lock_alloc()/RangeLock.
+  /// CoR in-flight range; the seed side is the lease's standalone device
+  /// (own lock hierarchy, never takes an alloc lock), so the two nodes'
+  /// orders cannot interleave with lock_alloc()/RangeLock.
   sim::Task<Result<bool>> peer_fetch(int ni, VKey vk, std::uint64_t vaddr,
                                      std::span<std::uint8_t> dst) {
     const std::string img = img_name(vk);
     const std::set<int>* holders = idx_->warm_holders(img);
-    if (holders == nullptr) {
-      peer_fallback(c_peer_fb_miss_);
-      co_return false;
-    }
     const int seed =
-        seeds_.pick_seed(*holders, img, vaddr, vaddr + dst.size(), ni,
-                         cfg_.peer.max_uploads_per_seed);
+        holders == nullptr
+            ? -1
+            : seeds_.pick_seed(*holders, img, vaddr, vaddr + dst.size(), ni,
+                               cfg_.peer.max_uploads_per_seed);
     if (seed < 0 || !rt_[static_cast<std::size_t>(seed)].up) {
       peer_fallback(c_peer_fb_miss_);
       co_return false;
     }
-    NodeRuntime& srt = rt_[static_cast<std::size_t>(seed)];
-    const std::uint64_t seed_epoch = srt.epoch;
-    ComputeNode& snode = *cl_.nodes[static_cast<std::size_t>(seed)];
-    // Pin: eviction must not yank the file mid-upload. Hold: a crash must
-    // not delete it under the open backend (the zombie machinery). No
-    // suspension between pick_seed and these, so the pin cannot race the
-    // eviction it guards against.
-    snode.pool.pin(img);
-    hold_file(seed, vk);
-    seeds_.begin_upload(seed);
+    CacheLease l = co_await lease(seed, vk, ni);
     bool served = false;
     obs::Counter* fb = c_peer_fb_error_;
-    auto dv =
-        co_await open_cache_standalone(snode, cluster::cache_file_for(img));
-    if (dv.ok()) {
-      auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-      if (q != nullptr && srt.epoch == seed_epoch) {
-        // Re-verify allocation against the file itself: registry coverage
-        // is advisory and may lag a repair. An unallocated cluster on a
-        // no_backing device would read as zeros — never serve those.
-        bool allocated = true;
-        std::uint64_t off = vaddr;
-        const std::uint64_t end = vaddr + dst.size();
-        while (off < end) {
-          auto ms = co_await q->map_status(off, end - off);
-          if (!ms.ok() || ms->len == 0 || ms->kind == MapKind::unallocated) {
-            allocated = false;
-            break;
-          }
-          off += ms->len;
-        }
-        if (!allocated) fb = c_peer_fb_miss_;
-        if (allocated && srt.epoch == seed_epoch) {
-          auto rr = co_await q->read(vaddr, dst);  // charges the seed's disk
-          if (rr.ok() && srt.epoch == seed_epoch) {
-            const bool done = co_await fabric_->transfer(
-                seed, ni, dst.size() + cfg_.peer.per_fetch_overhead);
-            if (done && srt.epoch == seed_epoch) {
-              served = true;
-            } else if (!done) {
-              fb = c_peer_fb_timeout_;
-              ++res_.peer_timeouts;
-            }
-          }
+    if (l.q != nullptr && alive(l)) {
+      // Re-verify allocation against the file itself: registry coverage
+      // is advisory and may lag a repair. An unallocated cluster on a
+      // no_backing device would read as zeros — never serve those. Stop
+      // at the first hole: walking past it would only add I/O.
+      bool allocated = true;
+      const std::uint64_t end = vaddr + dst.size();
+      for (std::uint64_t off = vaddr; allocated && off < end;) {
+        auto ms = co_await l.q->map_status(off, end - off);
+        allocated =
+            ms.ok() && ms->len != 0 && ms->kind != MapKind::unallocated;
+        if (allocated) off += ms->len;
+      }
+      if (!allocated) fb = c_peer_fb_miss_;
+      if (allocated && alive(l)) {
+        auto rr = co_await l.q->read(vaddr, dst);  // charges the seed's disk
+        if (rr.ok() && alive(l)) {
+          const bool done = co_await fabric_->transfer(
+              seed, ni, dst.size() + cfg_.peer.per_fetch_overhead);
+          served = done && alive(l);
+          if (!done) fb = c_peer_fb_timeout_;
         }
       }
-      // Close before drop_file: reclaiming a zombie removes the file, and
-      // SimDirectory::remove under an open backend is forbidden.
-      (void)co_await (*dv)->close();
     }
-    if (!served && srt.epoch != seed_epoch) fb = c_peer_fb_crash_;
-    seeds_.end_upload(seed);
-    drop_file(seed, vk);
-    snode.pool.unpin(img);
-    if (served) {
-      ++res_.peer_seed_hits;
-      c_peer_hits_->inc();
-      res_.peer_bytes_served += dst.size();
-      seeds_.add_bytes_served(seed, dst.size());
-      c_peer_node_bytes_[static_cast<std::size_t>(seed)]->inc(dst.size());
-      c_peer_bytes_avoided_->inc(dst.size());
-      co_return true;
+    co_await release(l);
+    if (!served) {
+      peer_fallback(alive(l) ? fb : c_peer_fb_crash_);
+      co_return false;
     }
-    peer_fallback(fb);
-    co_return false;
+    c_peer_hits_->inc();
+    res_.peer_bytes_served += dst.size();
+    c_peer_node_bytes_[static_cast<std::size_t>(seed)]->inc(dst.size());
+    c_peer_bytes_avoided_->inc(dst.size());
+    co_return true;
   }
 
   // --- queueing --------------------------------------------------------------
@@ -1042,11 +1157,9 @@ class Engine {
   /// Attempt failed: retry with exponential backoff, or abort for good.
   void fail_attempt(Pending r) {
     if (r.attempts >= cfg_.max_attempts) {
-      ++res_.aborted;
       c_aborted_->inc();
       return;
     }
-    ++res_.retries;
     c_retries_->inc();
     cl_.env.spawn(requeue_after(r));
   }
@@ -1070,139 +1183,40 @@ class Engine {
     co_await cl_.env.delay(sim::from_seconds(c.at_s));
     NodeRuntime& rt = rt_[static_cast<std::size_t>(c.node)];
     if (!rt.up) co_return;  // overlapping crash on a down node: no-op
-    ++res_.node_crashes;
     c_node_crashes_->inc();
-    rt.up = false;
-    ++rt.epoch;
-    cluster::NodeState& ns = sched_[static_cast<std::size_t>(c.node)];
-    ns.running_vms = 0;  // every running VM died with the node
-    ns.vm_capacity = 0;  // no placements while down
-    slots_changed(c.node);
-    for (const auto& img : ns.warm_vmis) idx_->warm_removed(c.node, img);
-    ns.warm_vmis.clear();
-    peer_deregister_node(c.node);
-    dedup_forget_node(c.node);
-    // Cache invalidation: a crashed node's caches are not trustworthy.
-    // In-use files become zombies either way (SimDirectory::remove under
-    // an open backend is the one thing the engine must never do, and a
-    // writer died mid-operation on them). Idle files are deleted outright
-    // in legacy mode; with crash_salvage they stay on disk as suspects
-    // for the recovery-time repair + check pass below. Only VMIs the
-    // mirror or a holder knows about can have state here — everything
-    // else has no pool entry and no file, so the sweep is O(tracked),
-    // not O(num_vmis).
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(c.node)];
-    std::vector<VKey> suspects;
-    std::set<VKey> tracked = rt.disk_caches;
-    for (const auto& [v, users] : rt.cache_users) {
-      (void)users;
-      tracked.insert(v);
-    }
-    for (VKey v : tracked) {
-      const std::string img = img_name(v);
-      const std::string cache = cluster::cache_file_for(img);
-      node.pool.remove(img);
-      if (!node.disk_dir.exists(cache)) {
-        rt.disk_caches.erase(v);
-        continue;
-      }
-      rt.disk_caches.insert(v);
-      if (rt.cache_users.count(v) != 0) {
-        rt.zombies.insert(v);
-      } else if (cfg_.crash_salvage) {
-        suspects.push_back(v);
-      } else {
-        node.disk_dir.remove(cache);
-        rt.disk_caches.erase(v);
-      }
-    }
+    // A crashed node's caches are not trustworthy: with crash_salvage the
+    // idle ones stay on disk as suspects for the recovery-time verify
+    // pass below; without it they go like a cold power-down's.
+    const std::vector<VKey> suspects = power_down(
+        c.node, cfg_.crash_salvage ? Keep::idle : Keep::none);
     co_await cl_.env.delay(sim::from_seconds(c.down_s));
     rt.up = true;
     ++rt.epoch;  // a task that slept across down+up still sees a change
     const std::uint64_t recovery_epoch = rt.epoch;
-    // Salvage pass (capacity still 0, so no placements race it): open each
-    // suspect writable — a dirty image auto-repairs — then check; clean
-    // caches are re-adopted with their warm clusters intact, anything else
-    // is deleted. The open/check reads charge the node's disk, so salvage
-    // pays a verification cost instead of the full re-warm cost.
+    // Salvage pass (capacity still 0, so no placements race it): clean
+    // caches are re-adopted with their warm clusters intact, anything
+    // else is deleted. A cache of a superseded catalog version is stale
+    // no matter how clean its qcow2 state is, and an update can land
+    // while the check is in flight.
+    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(c.node)];
     for (VKey v : suspects) {
-      const std::string cache = cluster::cache_file_for(img_name(v));
-      if (!node.disk_dir.exists(cache) || rt.zombies.count(v) != 0) {
+      if (!node.disk_dir.exists(cluster::cache_file_for(img_name(v))) ||
+          rt.zombies.count(v) != 0) {
         continue;
       }
-      // A cache of a superseded catalog version is stale no matter how
-      // clean its qcow2 state is: delete instead of re-verifying.
-      if (vk_ver(v) !=
-          catalog_ver_[static_cast<std::size_t>(vk_vmi(v))]) {
-        if (rt.cache_users.count(v) == 0) {
-          node.disk_dir.remove(cache);
-          rt.disk_caches.erase(v);
-        } else {
-          rt.zombies.insert(v);
-        }
-        ++res_.caches_invalidated;
-        c_cache_invalidated_->inc();
-        continue;
+      std::optional<Extents> extents;
+      if (current(v)) {
+        extents = co_await verify_cache(c.node, v);
+        if (rt.epoch != recovery_epoch) co_return;  // crashed again mid-pass
       }
-      hold_file(c.node, v);
-      bool good = false;
-      // Allocation extents gathered while the device is open: a salvaged
-      // cache re-registers as a peer seed with the coverage repair left
-      // behind, not the (possibly stale) pre-crash advertisement.
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> salvage_cov;
-      auto dv = co_await qcow2::open_image(node.fs, "disk/" + cache,
-                                           /*writable=*/true,
-                                           /*cache_backing_ro=*/false, cl_.obs);
-      if (dv.ok()) {
-        auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-        if (q != nullptr) {
-          auto chk = co_await q->check();
-          good = chk.ok() && chk->clean();
-          if (good && (cfg_.peer_transfer || cfg_.dedup)) {
-            std::uint64_t off = 0;
-            while (off < q->size()) {
-              auto ms = co_await q->map_status(off, q->size() - off);
-              if (!ms.ok() || ms->len == 0) break;
-              if (ms->kind != MapKind::unallocated) {
-                salvage_cov.emplace_back(off, off + ms->len);
-              }
-              off += ms->len;
-            }
-          }
-        }
-        (void)co_await (*dv)->close();
-      }
-      drop_file(c.node, v);
-      if (rt.epoch != recovery_epoch) co_return;  // crashed again mid-pass
-      // An update can land while the check was in flight; re-validate.
-      if (good &&
-          vk_ver(v) != catalog_ver_[static_cast<std::size_t>(vk_vmi(v))]) {
-        good = false;
-      }
-      if (good) {
-        readopt(c.node, v);
-        if (cfg_.peer_transfer) {
-          if (seeds_.register_seed(c.node, img_name(v))) c_peer_reg_->inc();
-          for (const auto& [lo, hi] : salvage_cov) {
-            seeds_.add_coverage(c.node, img_name(v), lo, hi);
-          }
-        }
-        if (cfg_.dedup) {
-          // Re-index the salvaged clusters: the crash dropped the node's
-          // whole index, and these are the survivors repair vouched for.
-          for (const auto& [lo, hi] : salvage_cov) {
-            index_fill(c.node, v, lo, hi);
-          }
-        }
+      if (extents && current(v)) {
+        register_tiers(c.node, v, *extents);
         if (cfg_.manifest) {
           ++mgen_[static_cast<std::size_t>(c.node)][v].check;
         }
-        ++res_.caches_salvaged;
         c_cache_salvaged_->inc();
       } else {
-        if (node.disk_dir.exists(cache)) node.disk_dir.remove(cache);
-        rt.disk_caches.erase(v);
-        ++res_.caches_invalidated;
+        drop_or_zombify(c.node, v);
         c_cache_invalidated_->inc();
       }
     }
@@ -1211,9 +1225,9 @@ class Engine {
     // salvage actually vouched for before accepting load again.
     co_await publish_manifest(c.node);
     if (rt.epoch != recovery_epoch) co_return;
-    ns.vm_capacity = cfg_.vm_slots_per_node;
+    sched_[static_cast<std::size_t>(c.node)].vm_capacity =
+        cfg_.vm_slots_per_node;
     slots_changed(c.node);
-    ++res_.node_recoveries;
     c_node_recoveries_->inc();
     refresh_warm(c.node);
     dispatch();
@@ -1268,54 +1282,56 @@ class Engine {
     }
     auto r = co_await mstores_[static_cast<std::size_t>(ni)]->publish(
         std::move(m));
-    if (r.ok()) {
-      ++res_.manifest_publishes;
-      c_manifest_pub_->inc();
-    }
+    if (r.ok()) c_manifest_pub_->inc();
   }
 
-  /// Planned power-off of one node (restart or drain): placements stop,
-  /// anything running dies (tasks see the epoch change), the peer /
-  /// dedup / pool bookkeeping forgets the node. With `keep_files`
-  /// (manifest on — an orderly shutdown leaves consistent files) the
-  /// cache files stay on disk for the adoption pass; otherwise they are
-  /// scrubbed like a legacy crash: in-use files become zombies, idle
-  /// files are deleted, and the node re-warms from zero.
-  void power_down(int ni, bool keep_files) {
+  /// What a power-down leaves on disk: every cache file (an orderly
+  /// shutdown with a manifest leaves consistent files to re-adopt), the
+  /// idle ones as suspects (a crash with salvage on), or none (cold).
+  enum class Keep { all, idle, none };
+
+  /// Power one node off — crash, restart or drain: placements stop,
+  /// anything running dies (tasks see the epoch change), and the pool and
+  /// tiers forget the node. Unless `keep` is Keep::all, in-use files
+  /// become zombies (SimDirectory::remove under an open backend is the
+  /// one thing the engine must never do) and idle files not kept are
+  /// deleted. Only caches the mirror or a holder knows about can have
+  /// state here, so the sweep is O(tracked), not O(num_vmis). Returns
+  /// the Keep::idle suspects.
+  std::vector<VKey> power_down(int ni, Keep keep) {
     NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
     rt.up = false;
     ++rt.epoch;
     cluster::NodeState& ns = sched_[static_cast<std::size_t>(ni)];
-    ns.running_vms = 0;
-    ns.vm_capacity = 0;
+    ns.running_vms = 0;  // every running VM died with the node
+    ns.vm_capacity = 0;  // no placements while down
     slots_changed(ni);
     for (const auto& img : ns.warm_vmis) idx_->warm_removed(ni, img);
     ns.warm_vmis.clear();
-    peer_deregister_node(ni);
-    dedup_forget_node(ni);
+    forget_node_tiers(ni);
     ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
     std::set<VKey> tracked = rt.disk_caches;
     for (const auto& [v, users] : rt.cache_users) {
       (void)users;
       tracked.insert(v);
     }
+    std::vector<VKey> suspects;
     for (VKey v : tracked) {
       const std::string img = img_name(v);
-      const std::string cache = cluster::cache_file_for(img);
       node.pool.remove(img);
-      if (!node.disk_dir.exists(cache)) {
+      if (!node.disk_dir.exists(cluster::cache_file_for(img))) {
         rt.disk_caches.erase(v);
         continue;
       }
       rt.disk_caches.insert(v);
-      if (keep_files) continue;
-      if (rt.cache_users.count(v) != 0) {
-        rt.zombies.insert(v);
+      if (keep == Keep::all) continue;
+      if (keep == Keep::idle && rt.cache_users.count(v) == 0) {
+        suspects.push_back(v);
       } else {
-        node.disk_dir.remove(cache);
-        rt.disk_caches.erase(v);
+        drop_or_zombify(ni, v);
       }
     }
+    return suspects;
   }
 
   /// Cold rejoin (manifest off): capacity back, whatever files survived
@@ -1358,22 +1374,17 @@ class Engine {
         if (v < 0 || v >= num_vmis_ ||
             e.cache_file != cluster::cache_file_for(e.image) ||
             !node.disk_dir.exists(e.cache_file)) {
-          ++res_.adopt_stale;
           c_adopt_stale_->inc();
           continue;
         }
         const VKey k = vkey_of(e.image);
         // A record against a superseded image version is dead weight: the
         // catalog moved on while the node was down, so the bytes are
-        // wrong even if the qcow2 file is pristine. Delete the file (it
-        // would otherwise linger unaccounted) and degrade to cold.
-        if (vk_ver(k) != catalog_ver_[static_cast<std::size_t>(v)]) {
-          if (rt.cache_users.count(k) == 0 && rt.zombies.count(k) == 0 &&
-              node.disk_dir.exists(e.cache_file)) {
-            node.disk_dir.remove(e.cache_file);
-          }
-          rt.disk_caches.erase(k);
-          ++res_.adopt_stale;
+        // wrong even if the qcow2 file is pristine. Delete the file (a
+        // zombie if a killed deployment still holds it; it would
+        // otherwise linger unaccounted) and degrade to cold.
+        if (!current(k)) {
+          drop_or_zombify(ni, k);
           c_adopt_stale_->inc();
           continue;
         }
@@ -1383,63 +1394,17 @@ class Engine {
           // through the existing pool path once the holder drops it.
           continue;
         }
-        hold_file(ni, k);
-        bool good = false;
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> adopt_cov;
-        auto dv = co_await qcow2::open_image(node.fs, "disk/" + e.cache_file,
-                                             /*writable=*/true,
-                                             /*cache_backing_ro=*/false,
-                                             cl_.obs);
-        if (dv.ok()) {
-          auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-          if (q != nullptr) {
-            auto chk = co_await q->check();
-            good = chk.ok() && chk->clean();
-            if (good && (cfg_.peer_transfer || cfg_.dedup)) {
-              std::uint64_t off = 0;
-              while (off < q->size()) {
-                auto ms = co_await q->map_status(off, q->size() - off);
-                if (!ms.ok() || ms->len == 0) break;
-                if (ms->kind != MapKind::unallocated) {
-                  adopt_cov.emplace_back(off, off + ms->len);
-                }
-                off += ms->len;
-              }
-            }
-          }
-          (void)co_await (*dv)->close();
-        }
-        drop_file(ni, k);
+        const std::optional<Extents> extents = co_await verify_cache(ni, k);
         if (rt.epoch != adopt_epoch) co_return;  // crashed mid-verify
         // An update can land while the check was in flight; re-validate.
-        if (good && vk_ver(k) != catalog_ver_[static_cast<std::size_t>(v)]) {
-          good = false;
-        }
-        if (good) {
-          readopt(ni, k);
-          if (cfg_.peer_transfer) {
-            if (seeds_.register_seed(ni, e.image)) c_peer_reg_->inc();
-            for (const auto& [lo, hi] : adopt_cov) {
-              seeds_.add_coverage(ni, e.image, lo, hi);
-            }
-          }
-          if (cfg_.dedup) {
-            for (const auto& [lo, hi] : adopt_cov) {
-              index_fill(ni, k, lo, hi);
-            }
-          }
+        if (extents && current(k)) {
+          register_tiers(ni, k, *extents);
           MGen& g = mgen_[static_cast<std::size_t>(ni)][k];
           g.fill = e.fill_generation;
           g.check = e.check_generation + 1;
-          ++res_.caches_readopted;
           c_adopt_ok_->inc();
         } else {
-          if (node.disk_dir.exists(e.cache_file) &&
-              rt.cache_users.count(k) == 0) {
-            node.disk_dir.remove(e.cache_file);
-          }
-          rt.disk_caches.erase(k);
-          ++res_.adopt_failures;
+          drop_or_zombify(ni, k);
           c_adopt_failed_->inc();
         }
       }
@@ -1463,7 +1428,6 @@ class Engine {
   /// down (mid-crash) are skipped; their own recovery task restores them.
   sim::Task<void> restart_task(double at_s) {
     co_await cl_.env.delay(sim::from_seconds(at_s));
-    ++res_.restarts;
     c_restarts_->inc();
     std::vector<int> members;
     for (std::size_t i = 0; i < rt_.size(); ++i) {
@@ -1477,7 +1441,9 @@ class Engine {
         return !rt_[static_cast<std::size_t>(ni)].up;
       });
     }
-    for (const int ni : members) power_down(ni, /*keep_files=*/cfg_.manifest);
+    for (const int ni : members) {
+      power_down(ni, cfg_.manifest ? Keep::all : Keep::none);
+    }
     co_await cl_.env.delay(sim::from_seconds(cfg_.restart_down_s));
     // Everything the storage node serves from here on is traffic the
     // restart caused: the re-warm bill a durable manifest avoids.
@@ -1503,7 +1469,6 @@ class Engine {
     const int ni = cfg_.drain_node;
     NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
     if (!rt.up) co_return;  // crashed at drain time: nothing to drain
-    ++res_.drains;
     c_drains_->inc();
     const std::uint64_t drain_epoch = rt.epoch;
     cluster::NodeState& ns = sched_[static_cast<std::size_t>(ni)];
@@ -1515,7 +1480,7 @@ class Engine {
     }
     co_await publish_manifest(ni);
     if (rt.epoch != drain_epoch) co_return;
-    power_down(ni, /*keep_files=*/cfg_.manifest);
+    power_down(ni, cfg_.manifest ? Keep::all : Keep::none);
     co_await cl_.env.delay(sim::from_seconds(cfg_.drain_down_s));
     rt.up = true;
     ++rt.epoch;
@@ -1554,20 +1519,11 @@ class Engine {
   /// itself — deferred to the last holder (zombie) when a running VM
   /// still has it open, exactly like the crash sweep.
   void retire_old(int ni, VKey old_vk) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
     const std::string img = img_name(old_vk);
-    const std::string cache = cluster::cache_file_for(img);
-    node.pool.remove(img);
-    peer_deregister(ni, img);
-    dedup_forget(ni, img);
+    cl_.nodes[static_cast<std::size_t>(ni)]->pool.remove(img);
+    forget_tiers(ni, img);
     if (cfg_.manifest) mgen_[static_cast<std::size_t>(ni)].erase(old_vk);
-    if (rt.cache_users.count(old_vk) != 0) {
-      rt.zombies.insert(old_vk);  // last user out deletes the file
-    } else {
-      if (node.disk_dir.exists(cache)) node.disk_dir.remove(cache);
-      rt.disk_caches.erase(old_vk);
-    }
+    drop_or_zombify(ni, old_vk);
   }
 
   /// Host-side publication of one image version: clone the previous
@@ -1620,14 +1576,13 @@ class Engine {
     const std::uint32_t old_ver =
         catalog_ver_[static_cast<std::size_t>(ev.vmi)];
     if (ev.to_version <= old_ver) co_return;
-    if (res_.updates_published == 0) {
+    if (c_upd_published_->value() == 0) {
       // Everything the storage node serves from here on is traffic the
       // churn caused: the refill bill a rebase exists to shrink.
       update_storage_mark_ = cl_.storage.nfs.stats().total_payload();
     }
     publish_base(ev.vmi, old_ver, ev.to_version);
     catalog_ver_[static_cast<std::size_t>(ev.vmi)] = ev.to_version;
-    ++res_.updates_published;
     c_upd_published_->inc();
     cl_.storage.mem_pool.remove(img_name(vkey(ev.vmi, old_ver)));
 
@@ -1654,7 +1609,6 @@ class Engine {
           cl_.env.spawn(rebase_task(ni, ev.vmi, old_ver, ev.to_version));
         } else {
           retire_old(ni, v);
-          ++res_.update_invalidations;
           c_upd_invalidated_->inc();
           invalidated = true;
         }
@@ -1711,52 +1665,30 @@ class Engine {
       // A placement built the new version's cache while we queued; the
       // old one is a plain drop.
       retire_old(ni, old_vk);
-      ++res_.update_invalidations;
       c_upd_invalidated_->inc();
       refresh_warm(ni);
       co_await publish_manifest(ni);
       co_return;
     }
 
-    hold_file(ni, old_vk);
-    node.pool.pin(old_img);  // the source must survive the whole copy
+    // 1. Lease the old cache for the whole copy: carry-over reads hit
+    //    only its allocated clusters, whose extents are the warmth worth
+    //    carrying over.
+    CacheLease src = co_await lease(ni, old_vk, ni);
+    qcow2::Qcow2Device* oq = src.q;
+    bool ok = oq != nullptr;
     bool held_new = false;
-    bool ok = true;
-    block::DevicePtr old_dev;
     block::DevicePtr new_dev;
     std::uint64_t patched = 0;
     std::uint64_t reused = 0;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
-
-    // 1. Open the old cache standalone (read-only, no backing chain):
-    //    carry-over reads must hit only its allocated clusters and never
-    //    recurse into its own NFS-mounted base.
-    {
-      auto od = co_await open_cache_standalone(node, old_cache);
-      if (od.ok()) {
-        old_dev = std::move(*od);
-      } else {
-        ok = false;
-      }
-    }
-    auto* oq =
-        ok ? dynamic_cast<qcow2::Qcow2Device*>(old_dev.get()) : nullptr;
-    if (oq == nullptr) ok = false;
-
-    // 2. Its allocated extents are the warmth worth carrying over.
+    Extents extents;
     if (ok && rt.epoch == epoch) {
-      std::uint64_t off = 0;
-      while (off < oq->size()) {
-        auto ms = co_await oq->map_status(off, oq->size() - off);
-        if (!ms.ok() || ms->len == 0) break;
-        if (ms->kind != MapKind::unallocated) {
-          extents.emplace_back(off, off + ms->len);
-        }
-        off += ms->len;
-      }
+      co_await walk_extents(*oq, [&](std::uint64_t lo, std::uint64_t hi) {
+        extents.emplace_back(lo, hi);
+      });
     }
 
-    // 3. Create the new versioned cache backed by the new base export.
+    // 2. Create the new versioned cache backed by the new base export.
     if (ok && rt.epoch == epoch) {
       qcow2::ChainImageOptions copt{.cluster_bits = cfg_.cache_cluster_bits,
                                     .virtual_size = cfg_.profile.image_size};
@@ -1773,7 +1705,7 @@ class Engine {
       }
     }
 
-    // 4. Open it writable and drive the carry-over through the CoR path.
+    // 3. Open it writable and drive the carry-over through the CoR path.
     if (ok && rt.epoch == epoch) {
       auto nd = co_await qcow2::open_image(node.fs, "disk/" + new_cache,
                                            /*writable=*/true,
@@ -1851,44 +1783,27 @@ class Engine {
       }
     }
 
-    // 5. Close before any drop can delete a file (close-before-drop).
+    // 4. Close before any drop can delete a file (close-before-drop).
     if (new_dev) {
       (void)co_await new_dev->close();
       new_dev.reset();
     }
-    if (old_dev) {
-      (void)co_await old_dev->close();
-      old_dev.reset();
-    }
+    co_await release(src);
     if (rt.epoch != epoch) {
       // Crashed under us: the crash sweep already disowned the node's
-      // caches; just release our holds (reclaiming any zombies).
-      node.pool.unpin(old_img);
-      drop_file(ni, old_vk);
+      // caches; just drop our hold on the new one (reclaiming a zombie).
       if (held_new) drop_file(ni, new_vk);
       co_return;
     }
 
-    node.pool.unpin(old_img);
-    if (ok && catalog_ver_[static_cast<std::size_t>(vmi)] == new_ver) {
+    if (ok && current(new_vk)) {
       // Retire first so the old quota is free before the new admission.
       retire_old(ni, old_vk);
-      readopt(ni, new_vk);
+      register_tiers(ni, new_vk, extents);
       if (cfg_.manifest) {
         ++mgen_[static_cast<std::size_t>(ni)][new_vk].fill;
       }
-      if (cfg_.peer_transfer &&
-          seeds_.register_seed(ni, new_img)) {
-        c_peer_reg_->inc();
-      }
-      for (const auto& [lo, hi] : extents) {
-        if (cfg_.peer_transfer) seeds_.add_coverage(ni, new_img, lo, hi);
-        if (cfg_.dedup) index_fill(ni, new_vk, lo, hi);
-      }
-      ++res_.caches_rebased;
       c_upd_rebased_->inc();
-      res_.rebase_patched_clusters += patched;
-      res_.rebase_reused_clusters += reused;
       c_upd_patched_->inc(patched);
       c_upd_reused_->inc(reused);
     } else {
@@ -1901,10 +1816,8 @@ class Engine {
         scrub_failed_cache(ni, new_vk);
       }
       retire_old(ni, old_vk);
-      ++res_.update_invalidations;
       c_upd_invalidated_->inc();
     }
-    drop_file(ni, old_vk);
     if (held_new) drop_file(ni, new_vk);
     refresh_warm(ni);
     co_await publish_manifest(ni);
@@ -1917,7 +1830,6 @@ class Engine {
   /// the slot count was already zeroed by the crash, so only the inflight
   /// audit and the retry decision remain.
   void exit_killed(Pending r, int ni) {
-    ++res_.crash_kills;
     c_crash_kills_->inc();
     --rt_[static_cast<std::size_t>(ni)].inflight;
     fail_attempt(r);
@@ -1926,7 +1838,6 @@ class Engine {
   /// Exit path for an attempt that failed on an I/O error while the node
   /// stayed up: give the slot back and retry.
   void exit_failed(Pending r, int ni) {
-    ++res_.deploy_failures;
     c_deploy_failures_->inc();
     --sched_[static_cast<std::size_t>(ni)].running_vms;
     slots_changed(ni);
@@ -1934,6 +1845,21 @@ class Engine {
     refresh_warm(ni);
     fail_attempt(r);
     dispatch();
+  }
+
+  /// The exit for an attempt that fails once its cache is pinned: delete
+  /// the CoW layer, release the cache, and leave killed (the node crashed
+  /// under it) or failed (an I/O error).
+  void bail(Pending r, int ni, VKey vk, const std::string& cow_file,
+            std::uint64_t epoch) {
+    auto& dd = cl_.nodes[static_cast<std::size_t>(ni)]->disk_dir;
+    if (dd.exists(cow_file)) dd.remove(cow_file);
+    release_cache(ni, vk);
+    if (rt_[static_cast<std::size_t>(ni)].epoch != epoch) {
+      exit_killed(r, ni);
+    } else {
+      exit_failed(r, ni);
+    }
   }
 
   sim::Task<void> vm_task(Pending r, int ni) {
@@ -1950,7 +1876,6 @@ class Engine {
 
     const sim::SimTime prep0 = cl_.env.now();
     cluster::PlacementOutcome outcome;
-    bool pinned = false;
     block::DevicePtr dev;
     // The image version is read under the prepare lock (an update sweep
     // or rebase of this VMI holds the same lock), so one attempt sees one
@@ -1978,13 +1903,7 @@ class Engine {
       } else {
         rt.disk_caches.erase(vk);
       }
-      if (placed.ok()) {
-        for (const auto& victim : placed->evicted) {
-          rt.disk_caches.erase(vkey_of(victim));
-          peer_deregister(ni, victim);
-          dedup_forget(ni, victim);
-        }
-      }
+      if (placed.ok()) evicted(ni, placed->evicted);
       if (rt.epoch != epoch) {
         drop_file(ni, vk);
         exit_killed(r, ni);
@@ -2001,33 +1920,20 @@ class Engine {
       // can evict the entry in between (single-threaded simulation).
       if (!node.pool.contains(img)) readopt(ni, vk);
       node.pool.pin(img);
-      pinned = true;
       const bool shared_ro = rt.cache_users[vk] > 1;
       qcow2::ChainImageOptions cow_opt{
           .cluster_bits = 16, .virtual_size = cfg_.profile.image_size};
       auto rcow = co_await qcow2::create_cow_image(node.fs, cow_path,
                                                    outcome.backing, cow_opt);
       if (rt.epoch != epoch || !rcow.ok()) {
-        if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-        release_cache(ni, vk, pinned);
-        if (rt.epoch != epoch) {
-          exit_killed(r, ni);
-        } else {
-          exit_failed(r, ni);
-        }
+        bail(r, ni, vk, cow_file, epoch);
         co_return;
       }
       auto dv = co_await qcow2::open_image(node.fs, cow_path,
                                            /*writable=*/true, shared_ro,
                                            cl_.obs);
       if (rt.epoch != epoch || !dv.ok()) {
-        if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-        release_cache(ni, vk, pinned);
-        if (rt.epoch != epoch) {
-          exit_killed(r, ni);
-        } else {
-          exit_failed(r, ni);
-        }
+        bail(r, ni, vk, cow_file, epoch);
         co_return;
       }
       dev = std::move(*dv);
@@ -2052,16 +1958,8 @@ class Engine {
         static_cast<std::size_t>(r.vmi)]);
     (void)co_await dev->close();
     dev.reset();
-    if (rt.epoch != epoch) {
-      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-      release_cache(ni, vk, pinned);
-      exit_killed(r, ni);
-      co_return;
-    }
-    if (!br.ok()) {
-      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-      release_cache(ni, vk, pinned);
-      exit_failed(r, ni);
+    if (rt.epoch != epoch || !br.ok()) {
+      bail(r, ni, vk, cow_file, epoch);
       co_return;
     }
 
@@ -2074,20 +1972,17 @@ class Engine {
         sim::to_seconds(cl_.env.now() - r.first_enqueued);
     deploy_.add(deploy_s);
     h_deploy_->observe(deploy_s);
-    ++res_.completed;
     c_completed_->inc();
     if (outcome.action == cluster::PlacementOutcome::Action::local_warm_hit) {
-      ++res_.warm_hits;
       c_warm_hits_->inc();
     }
 
     co_await cl_.env.delay(sim::from_seconds(r.lifetime_s));
     if (rt.epoch != epoch) {
       // Killed while running: already counted completed; just audit.
-      ++res_.vm_crashes;
       c_vm_crashes_->inc();
       if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-      release_cache(ni, vk, pinned);
+      release_cache(ni, vk);
       --rt.inflight;
       co_return;
     }
@@ -2099,11 +1994,10 @@ class Engine {
     // bandwidth and can never be served again.
     if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
     if (outcome.copy_back_on_shutdown && node.disk_dir.exists(cache) &&
-        vk_ver(vk) == catalog_ver_[static_cast<std::size_t>(r.vmi)]) {
+        current(vk)) {
       if (gate_.down()) {
         // Best-effort: the cache stays node-local; a later shutdown of
         // another fresh creator (or a re-placement) tries again.
-        ++res_.copyback_skips;
         c_copyback_skips_->inc();
       } else {
         // Serialised per VMI so two creators never write the storage-side
@@ -2116,9 +2010,8 @@ class Engine {
           cl_.storage.mem_pool.touch(img);
         }
         if (rt.epoch != epoch) {
-          ++res_.vm_crashes;
           c_vm_crashes_->inc();
-          release_cache(ni, vk, pinned);
+          release_cache(ni, vk);
           --rt.inflight;
           co_return;
         }
@@ -2126,7 +2019,7 @@ class Engine {
     }
     --sched_[static_cast<std::size_t>(ni)].running_vms;
     slots_changed(ni);
-    release_cache(ni, vk, pinned);
+    release_cache(ni, vk);
     refresh_warm(ni);
     // The VM's lifetime of CoR fills grew the cache; persist the final
     // coverage and fill generation now that the file is quiescent.
@@ -2141,10 +2034,8 @@ class Engine {
     for (const auto& req : reqs_) {
       const sim::SimTime t = sim::from_seconds(req.arrival_s);
       if (t > cl_.env.now()) co_await cl_.env.delay(t - cl_.env.now());
-      ++res_.arrivals;
       c_arrivals_->inc();
       if (queue_.size() >= cfg_.max_queue_depth) {
-        ++res_.rejected;
         c_rejected_->inc();
         continue;
       }

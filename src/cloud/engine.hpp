@@ -185,12 +185,19 @@ struct CloudResult {
   std::uint64_t post_restart_storage_bytes = 0;
   /// VM slots still held after the run drained; must be 0.
   int leaked_slots = 0;
+  /// Cache references still outstanding after the run drained; must be
+  /// 0. Counts file holds not dropped, zombies not reclaimed, pinned pool
+  /// entries, and cache files of any (VMI, version up to the current
+  /// one) left on a node's disk that the engine no longer tracks.
+  int leaked_cache_refs = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t storage_payload_bytes = 0;
   // Peer cache tier accounting (all zero when peer_transfer is off).
   std::uint64_t peer_seed_hits = 0;  ///< backing fetches served by a seed
   std::uint64_t peer_fallback_fills = 0;  ///< fetches that fell back to NFS
-  std::uint64_t peer_bytes_served = 0;  ///< payload bytes moved peer-to-peer
+  /// Payload bytes of whole-range peer fetches. Dedup's content-keyed
+  /// peer fetches are counted in dedup_bytes_served instead.
+  std::uint64_t peer_bytes_served = 0;
   std::uint64_t peer_timeouts = 0;  ///< transfers abandoned past the deadline
   // Content-addressed dedup accounting (all zero when dedup is off).
   std::uint64_t dedup_local_hits = 0;  ///< clusters filled from a sibling cache

@@ -113,13 +113,6 @@ class SeedRegistry {
     return it == uploads_.end() ? 0 : it->second;
   }
 
-  // Per-node payload bytes served to peers (the "storage bytes avoided").
-  void add_bytes_served(int node, std::uint64_t n) { bytes_served_[node] += n; }
-  [[nodiscard]] std::uint64_t bytes_served(int node) const {
-    auto it = bytes_served_.find(node);
-    return it == bytes_served_.end() ? 0 : it->second;
-  }
-
   [[nodiscard]] std::size_t seed_count(const std::string& img) const {
     auto it = seeds_.find(img);
     return it == seeds_.end() ? 0 : it->second.size();
@@ -225,7 +218,6 @@ class SeedRegistry {
   /// order is part of the engine's determinism contract.
   std::map<std::string, std::map<int, IntervalSet>> seeds_;
   std::map<int, int> uploads_;
-  std::map<int, std::uint64_t> bytes_served_;
   /// fp -> (node -> location). Ordered for deterministic iteration.
   std::map<std::uint64_t, std::map<int, ContentHit>> content_;
   /// Reverse map for deregistration: node -> img -> advertised fps.

@@ -27,6 +27,7 @@ CloudConfig small_config(std::uint64_t seed) {
 void expect_terminal_accounting(const CloudResult& r) {
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.deploy.count, static_cast<std::size_t>(r.completed));
   // Every cloud.* counter agrees with its CloudResult mirror.
   const auto& m = r.metrics;

@@ -169,6 +169,7 @@ TEST(GoldenMetrics, CloudSmallScenarioPinnedValues) {
   EXPECT_EQ(r.retries, 0);
   EXPECT_EQ(r.warm_hits, 14);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.cache_evictions, 1u);
   EXPECT_EQ(r.storage_payload_bytes, 396725760u);
   EXPECT_NEAR(r.cache_hit_ratio, 0.7, 1e-9);
@@ -385,6 +386,7 @@ TEST(GoldenMetrics, CloudCrashSalvagePinnedValues) {
   EXPECT_EQ(r.node_crashes, 1);
   EXPECT_EQ(r.node_recoveries, 1);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.caches_salvaged, 1);
   EXPECT_EQ(r.caches_invalidated, 0);
 
@@ -427,6 +429,7 @@ TEST(GoldenMetrics, RestartAdoptPinnedValues) {
   EXPECT_EQ(r.manifest_publishes, 42u);
   EXPECT_EQ(r.post_restart_storage_bytes, 104179720u);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
 
   const obs::MetricsSnapshot& m = r.metrics;
   EXPECT_EQ(m.counter_total("cloud.adopt.ok"), 4u);
@@ -495,6 +498,7 @@ TEST(GoldenMetrics, PeerCloudPinnedValues) {
   EXPECT_EQ(r.manifest_publishes, 0u);
   EXPECT_EQ(r.post_restart_storage_bytes, 0u);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.cache_evictions, 0u);
   EXPECT_EQ(r.peer_seed_hits, 2791u);
   EXPECT_EQ(r.peer_fallback_fills, 29458u);
@@ -574,6 +578,7 @@ TEST(GoldenMetrics, TieredChurnPinnedValues) {
   EXPECT_EQ(r.manifest_publishes, 44u);
   EXPECT_EQ(r.post_restart_storage_bytes, 0u);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.cache_evictions, 0u);
   EXPECT_EQ(r.peer_seed_hits, 0u);
   EXPECT_EQ(r.peer_fallback_fills, 771u);

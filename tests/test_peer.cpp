@@ -314,6 +314,7 @@ TEST(PeerCloud, PeerTierCutsStorageTrafficWithoutChangingOutcomes) {
   EXPECT_EQ(on.completed, off.completed);
   EXPECT_EQ(on.aborted, off.aborted);
   EXPECT_EQ(on.leaked_slots, 0);
+  EXPECT_EQ(on.leaked_cache_refs, 0);
   EXPECT_GT(on.peer_seed_hits, 0u);
   EXPECT_GT(on.peer_bytes_served, 0u);
   EXPECT_LT(on.storage_payload_bytes, off.storage_payload_bytes);
@@ -333,6 +334,7 @@ TEST(PeerCloud, PeerOnRunsAreByteIdentical) {
   cfg.horizon_s = 240.0;  // two full runs; keep the suite fast
   const cloud::CloudResult a = run_cloud(cfg);
   const cloud::CloudResult b = run_cloud(cfg);
+  EXPECT_EQ(a.leaked_cache_refs, 0);
   EXPECT_EQ(a.sim_events, b.sim_events);
   EXPECT_EQ(a.peer_seed_hits, b.peer_seed_hits);
   EXPECT_EQ(a.metrics.to_text(), b.metrics.to_text());
@@ -349,6 +351,7 @@ TEST(PeerCloud, EvictionPressureCannotYankSeedFilesMidUpload) {
   EXPECT_GT(r.cache_evictions, 0u);
   EXPECT_GT(r.peer_seed_hits, 0u);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
 }
 
@@ -360,6 +363,7 @@ TEST(PeerCloud, CrashesDeregisterSeedsAndFillsFallBackToNfs) {
   const cloud::CloudResult r = run_cloud(cfg);
   EXPECT_GT(r.node_crashes, 0);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
   // Deregistrations happened (eviction or crash); the run still served
   // peer traffic around them.

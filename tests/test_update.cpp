@@ -205,6 +205,7 @@ CloudConfig churn_config(std::uint64_t seed, update::Policy policy) {
 void expect_churn_accounting(const CloudResult& r) {
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
   EXPECT_GT(r.updates_published, 0);
   const auto& m = r.metrics;
   EXPECT_EQ(m.counter_total("update.published"),
@@ -291,6 +292,41 @@ TEST(UpdateChurn, SurvivesCrashesAndTiers) {
   const auto r = run_cloud(cfg);
   expect_churn_accounting(r);
   EXPECT_GT(r.node_crashes, 0);
+}
+
+// A deployment killed by a restart can still hold its cache file when the
+// adoption pass finds the manifest's record of it stale, because the
+// catalog published a new version while the node was down. The file must
+// become a zombie that its last holder deletes, not a file left on disk,
+// untracked, for the rest of the run.
+TEST(UpdateChurn, StaleRecordHeldAtAdoptionIsReclaimed) {
+  CloudConfig cfg;
+  cfg.seed = 3;
+  cfg.horizon_s = 1800.0;
+  cfg.workload.num_vmis = 2;
+  cfg.manifest = true;
+  cfg.updates.enabled = true;
+  cfg.updates.policy = update::Policy::invalidate;
+  cfg.updates.rate_per_hour = 4.0;
+  cfg.updates.max_events = 1;
+  // The engine draws its publish schedule from this fork of the run seed.
+  Rng urng(cfg.seed ^ 0x1ba5e'ca7a'f00dull);
+  const auto events = update::generate_schedule(
+      cfg.updates, cfg.workload.num_vmis, cfg.horizon_s, urng);
+  ASSERT_EQ(events.size(), 1u);
+  const double t = events[0].at_s;
+  const int v = events[0].vmi;
+  // The first request warms v's cache. The second is booting from it
+  // when the restart kills it, and still holds the file when the publish
+  // at `t`, inside the downtime, makes the manifest's record stale.
+  cfg.requests = {{1.0, v, 5.0}, {t - 2.0, v, 30.0}};
+  cfg.restart_at_s = {t - 0.25};
+  cfg.restart_down_s = 0.5;
+  const auto r = run_cloud(cfg);
+  expect_churn_accounting(r);
+  EXPECT_EQ(r.restarts, 1);
+  EXPECT_EQ(r.adopt_stale, 1);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
 }
 
 }  // namespace

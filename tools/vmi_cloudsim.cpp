@@ -64,6 +64,10 @@
 //     --trace-out FILE   write the generated workload as CSV and exit 0
 //     --metrics-out F    write the metrics snapshot to F
 //                        (.json => JSON, anything else => text exposition)
+//
+// Exits 1, with or without --slo-strict, when the drained run still holds
+// VM slots or cache references (files held, zombies, pins, or untracked
+// cache files); the cache-reference count goes to stderr.
 
 #include <cstdio>
 #include <cstdlib>
@@ -455,6 +459,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "SLO violation: %d leaked VM slot(s)\n",
                    r.leaked_slots);
     }
+    return 1;
+  }
+  if (r.leaked_cache_refs != 0) {
+    std::fprintf(stderr, "vmi-cloudsim: %d leaked cache reference(s)\n",
+                 r.leaked_cache_refs);
     return 1;
   }
   return violations == 0 ? 0 : 1;
