@@ -95,6 +95,63 @@ TEST(GoldenMetrics, ComputeDiskWarmPinnedValues) {
   EXPECT_NEAR(r.mean_boot, 32.998217362, 1e-9);
 }
 
+// Storm-path pins (Figs 3, 12-14): several fresh VMI copies, 512 B cache
+// clusters and a storage page cache that starts cold, on the scaled-down
+// profile so each run stays short. Cold compute-disk caches exercise the
+// copy-on-read fills, the NFS read window and the post-boot clone of the
+// memory-built cache to disk; the storage-memory runs exercise the cold
+// push-back and the warm clone into the storage node's tmpfs.
+
+ScenarioConfig storm_config(CacheMode mode, CacheState state) {
+  ScenarioConfig sc;
+  sc.profile = cloud::scaled_down(boot::centos63());
+  sc.profile.unique_read_bytes = 6 * MiB;
+  sc.profile.write_bytes = 1 * MiB;
+  sc.num_vms = 16;
+  sc.num_vmis = 4;
+  sc.mode = mode;
+  sc.state = state;
+  sc.storage_cache_prewarmed = false;
+  return sc;
+}
+
+struct StormPins {
+  std::uint64_t payload, disk_reads, disk_bytes, warm_bytes, fills, cor_bytes;
+  double mean_boot, max_boot;
+};
+
+void expect_storm_pins(const ScenarioResult& r, const StormPins& p) {
+  EXPECT_EQ(r.storage_payload_bytes, p.payload);
+  EXPECT_EQ(r.storage_disk_reads, p.disk_reads);
+  EXPECT_EQ(r.storage_disk_bytes_read, p.disk_bytes);
+  EXPECT_EQ(r.warm_cache_file_bytes, p.warm_bytes);
+  EXPECT_EQ(r.metrics.counter_total("qcow2.cor_fills"), p.fills);
+  EXPECT_EQ(r.metrics.counter_total("qcow2.cor_bytes"), p.cor_bytes);
+  EXPECT_NEAR(r.mean_boot, p.mean_boot, 1e-9);
+  EXPECT_NEAR(r.max_boot, p.max_boot, 1e-9);
+}
+
+TEST(GoldenMetrics, StormColdPinnedValues) {
+  const auto r = run_scenario(
+      fig2_params(), storm_config(CacheMode::compute_disk, CacheState::cold));
+  expect_storm_pins(r, {141869056u, 927u, 60751872u, 0u, 12936u, 107603968u,
+                        7.8983437074375, 8.042532147});
+}
+
+TEST(GoldenMetrics, StorageMemColdPushBackPinnedValues) {
+  const auto r = run_scenario(
+      fig2_params(), storm_config(CacheMode::storage_mem, CacheState::cold));
+  expect_storm_pins(r, {187700224u, 900u, 60751872u, 0u, 3234u, 26900992u,
+                        7.768299279625, 7.993942313});
+}
+
+TEST(GoldenMetrics, StorageMemWarmPinnedValues) {
+  const auto r = run_scenario(
+      fig2_params(), storm_config(CacheMode::storage_mem, CacheState::warm));
+  expect_storm_pins(r, {213598208u, 0u, 0u, 7543808u, 3234u, 26900992u,
+                        6.4219083576875, 6.439466384});
+}
+
 // The registry-backed series must agree with the ad-hoc counters they
 // replaced (ScenarioResult reads NfsServer/RotationalDisk stats directly;
 // the snapshot reads the same instruments through the registry).
