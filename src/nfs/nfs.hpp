@@ -128,7 +128,10 @@ class NfsFileBackend final : public io::BlockBackend {
     std::uint64_t pos = off;
     std::uint64_t remaining = dst.size();
     std::uint8_t* out = dst.data();
-    std::vector<std::uint8_t> scratch;
+    // Fetch windows wider than the requested chunk land in one
+    // uninitialised buffer, allocated on first use. Alignment adds less
+    // than min_fetch at each end, so chunk + 2 * min_fetch holds any window.
+    std::unique_ptr<std::uint8_t[]> window;
     while (remaining > 0) {
       const std::uint64_t chunk =
           std::min<std::uint64_t>(remaining, server_.p_.rwsize);
@@ -145,8 +148,20 @@ class NfsFileBackend final : public io::BlockBackend {
       std::uint64_t b = align_up(pos + chunk, server_.p_.min_fetch);
       b = std::min(b, a + std::max<std::uint64_t>(server_.p_.rwsize, chunk));
       b = std::max(b, pos + chunk);
-      scratch.resize(b - a);
-      VMIC_CO_TRY_VOID(co_await file_->pread(a, scratch));
+      const bool direct = a == pos && b == pos + chunk;
+      if (direct) {
+        // The window is the chunk itself: read into the caller's buffer.
+        VMIC_CO_TRY_VOID(co_await file_->pread(
+            a, {out, static_cast<std::size_t>(chunk)}));
+      } else {
+        if (window == nullptr) {
+          window = std::make_unique_for_overwrite<std::uint8_t[]>(
+              std::min<std::uint64_t>(dst.size(), server_.p_.rwsize) +
+              2 * std::uint64_t{server_.p_.min_fetch});
+        }
+        VMIC_CO_TRY_VOID(co_await file_->pread(
+            a, {window.get(), static_cast<std::size_t>(b - a)}));
+      }
       ++server_.stats_.read_rpcs;
       server_.stats_.tx_payload_bytes += b - a;
       if (server_.hub_ != nullptr) {
@@ -154,7 +169,7 @@ class NfsFileBackend final : public io::BlockBackend {
       }
       // Response payload back over the wire.
       co_await net_.down.transfer((b - a) + server_.p_.rpc_overhead_bytes);
-      std::memcpy(out, scratch.data() + (pos - a), chunk);
+      if (!direct) std::memcpy(out, window.get() + (pos - a), chunk);
       pos += chunk;
       out += chunk;
       remaining -= chunk;

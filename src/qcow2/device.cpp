@@ -40,6 +40,10 @@ sim::Task<Result<void>> Qcow2Device::create(io::BlockBackend& file,
 
   const Layout ly{opt.cluster_bits};
   const std::uint64_t cs = ly.cluster_size();
+  // The L1 table must stay within the limit open() enforces.
+  if (opt.virtual_size > kMaxL1Bytes / 8 * ly.bytes_per_l2()) {
+    co_return Errc::invalid_argument;
+  }
 
   std::optional<CacheExtension> cache;
   if (opt.cache_quota != 0) {
@@ -72,9 +76,10 @@ sim::Task<Result<void>> Qcow2Device::create(io::BlockBackend& file,
                         : opt.virtual_size + l2_estimate + 16 * 1024 * 1024;
   }
   const std::uint64_t expected_clusters = div_ceil(expected_file, cs);
-  const std::uint64_t rt_clusters = std::max<std::uint64_t>(
-      1, div_ceil(div_ceil(expected_clusters, ly.refcounts_per_block()),
-                  ly.rt_entries_per_cluster()));
+  const std::uint64_t rt_clusters = std::clamp<std::uint64_t>(
+      div_ceil(div_ceil(expected_clusters, ly.refcounts_per_block()),
+               ly.rt_entries_per_cluster()),
+      1, kMaxRefcountTableBytes / cs);
 
   const std::uint64_t journal_clusters =
       journal ? div_ceil(journal->size, cs) : 0;
@@ -194,6 +199,13 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   if (hdr.size() < kHeaderLength) co_return Errc::invalid_format;
   VMIC_CO_TRY_VOID(co_await file->pread(0, hdr));
   VMIC_CO_TRY(parsed, parse_header_area(hdr));
+  // The journal region must lie inside the file: open() and repair() read
+  // it whole.
+  if (parsed.journal && (parsed.journal->size > file->size() ||
+                         parsed.journal->offset >
+                             file->size() - parsed.journal->size)) {
+    co_return Errc::corrupt;
+  }
 
   auto dev = std::unique_ptr<Qcow2Device>(
       new Qcow2Device(std::move(file), std::move(parsed)));
@@ -739,8 +751,12 @@ sim::Task<Result<void>> Qcow2Device::write_refcount_entries(
 sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
     std::uint64_t min_block_index) {
   const std::uint64_t cs = ly_.cluster_size();
-  const std::uint64_t needed_entries =
-      std::max<std::uint64_t>(min_block_index + 1, rt_.size() * 2);
+  // Stay within the table size open() accepts.
+  const std::uint64_t max_entries = kMaxRefcountTableBytes / 8;
+  if (min_block_index >= max_entries) co_return Errc::no_space;
+  const std::uint64_t needed_entries = std::min(
+      max_entries,
+      std::max<std::uint64_t>(min_block_index + 1, rt_.size() * 2));
   const std::uint64_t new_clusters = div_ceil(needed_entries * 8, cs);
 
   const auto found = find_free_run(new_clusters);
@@ -1010,21 +1026,26 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
   // backing image. This is exactly the effect the paper measures in
   // Fig 9 — at 64 KiB clusters a small read forces a large fill, causing
   // *more* storage-node traffic than plain QCOW2; at 512 B clusters the
-  // fill is empty for sector-aligned guest I/O.
-  std::vector<std::uint8_t> buf(hi - lo, 0);
-  std::memcpy(buf.data() + (vaddr - lo), data.data(), data.size());
-  if (vaddr > lo) {
-    VMIC_CO_TRY_VOID(
-        co_await read_from_backing(lo, std::span(buf.data(), vaddr - lo)));
-  }
+  // fill is empty for sector-aligned guest I/O. A fill aligned at both
+  // ends is stored straight from the caller's bytes; only a fill with a
+  // head or tail to fetch is staged.
   const std::uint64_t data_end = vaddr + data.size();
-  if (hi > data_end) {
+  std::vector<std::uint8_t> staging;
+  std::span<const std::uint8_t> fill = data;
+  if (vaddr != lo || data_end != hi) {
+    staging.assign(hi - lo, 0);
+    std::memcpy(staging.data() + (vaddr - lo), data.data(), data.size());
+    if (vaddr > lo) {
+      VMIC_CO_TRY_VOID(co_await read_from_backing(
+          lo, std::span(staging.data(), vaddr - lo)));
+    }
     const std::uint64_t fill_end = std::min(hi, h_.size);
     if (fill_end > data_end) {
       VMIC_CO_TRY_VOID(co_await read_from_backing(
           data_end,
-          std::span(buf.data() + (data_end - lo), fill_end - data_end)));
+          std::span(staging.data() + (data_end - lo), fill_end - data_end)));
     }
+    fill = staging;
   }
 
   // Allocate and store runs of clusters that are still absent. Metadata
@@ -1048,8 +1069,7 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
       // path below.
       const std::uint64_t nclusters = div_ceil(ext.len, cs);
       VMIC_CO_TRY_VOID(co_await cor_store_compressed_run(
-          pos, std::span<const std::uint8_t>(buf.data() + (pos - lo),
-                                             nclusters * cs)));
+          pos, fill.subspan(pos - lo, nclusters * cs)));
       stored = true;
       pos += nclusters * cs;
       continue;
@@ -1079,8 +1099,7 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
       host = *r;
     }
     const std::uint64_t nbytes = got * cs;
-    auto wr = co_await file_->pwrite(
-        host, std::span(buf.data() + (pos - lo), nbytes));
+    auto wr = co_await file_->pwrite(host, fill.subspan(pos - lo, nbytes));
     if (wr.ok()) {
       // Barrier: the payload must be durable before the L2 entry that
       // publishes it — a crash may lose the cluster (leak), never expose
@@ -1739,6 +1758,9 @@ sim::Task<Result<void>> Qcow2Device::resize(std::uint64_t new_size) {
   if (read_only()) co_return Errc::read_only;
   if (new_size < h_.size) co_return Errc::invalid_argument;  // grow-only
   if (new_size == h_.size) co_return ok_result();
+  if (new_size > kMaxL1Bytes / 8 * ly_.bytes_per_l2()) {
+    co_return Errc::invalid_argument;  // L1 would outgrow open()'s limit
+  }
 
   const std::uint32_t needed = ly_.l1_entries_for(new_size);
   if (needed > l1_.size()) {

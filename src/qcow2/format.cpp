@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "qcow2/layout.hpp"
 #include "util/align.hpp"
 #include "util/bytes.hpp"
 
@@ -131,6 +132,17 @@ Result<ParsedHeader> parse_header_area(std::span<const std::uint8_t> buf) {
   }
 
   const std::uint64_t cluster_size = 1ull << h.cluster_bits;
+  // Bound the tables open() loads whole, and require the L1 table to map
+  // the entire virtual disk.
+  if (std::uint64_t{h.l1_size} * 8 > kMaxL1Bytes ||
+      (std::uint64_t{h.refcount_table_clusters} << h.cluster_bits) >
+          kMaxRefcountTableBytes) {
+    return Errc::unsupported;
+  }
+  const std::uint64_t bytes_per_l2 = Layout{h.cluster_bits}.bytes_per_l2();
+  if (h.l1_size < h.size / bytes_per_l2 + (h.size % bytes_per_l2 != 0)) {
+    return Errc::corrupt;
+  }
   // Basic sanity on table placement.
   if (!is_aligned(h.l1_table_offset, cluster_size) ||
       !is_aligned(h.refcount_table_offset, cluster_size)) {

@@ -64,6 +64,12 @@ inline constexpr std::uint64_t kIncompatJournal = 1ull << 1;
 /// corruption), which is what makes it a compatible feature.
 inline constexpr std::uint64_t kCompatLazyRefcounts = 1ull << 0;
 
+/// Limits on the tables open() loads whole, as QEMU's QCOW_MAX_L1_SIZE
+/// and QCOW_MAX_REFTABLE_SIZE: a header naming a larger table is refused
+/// before anything is allocated from it.
+inline constexpr std::uint64_t kMaxL1Bytes = 32ull << 20;
+inline constexpr std::uint64_t kMaxRefcountTableBytes = 8ull << 20;
+
 /// L1/L2 table entry bit layout.
 inline constexpr std::uint64_t kOffsetMask = 0x00fffffffffffe00ull;
 inline constexpr std::uint64_t kFlagCopied = 1ull << 63;

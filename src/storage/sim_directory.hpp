@@ -156,16 +156,11 @@ inline Result<void> SimDirectory::clone_file(SimDirectory& from,
                                              const std::string& dst) {
   auto it = from.files_.find(src);
   if (it == from.files_.end()) return Errc::not_found;
+  SparseBuffer copy = it->second->data.clone();
   auto& slot = to.files_[dst];
   slot = std::make_unique<File>();
   slot->id = to.next_id_++;
-  const SparseBuffer& s = it->second->data;
-  std::vector<std::uint8_t> tmp(1 << 20);
-  for (std::uint64_t off = 0; off < s.size(); off += tmp.size()) {
-    const std::uint64_t n = std::min<std::uint64_t>(tmp.size(), s.size() - off);
-    s.read(off, {tmp.data(), static_cast<std::size_t>(n)});
-    slot->data.write(off, {tmp.data(), static_cast<std::size_t>(n)});
-  }
+  slot->data = std::move(copy);
   return Result<void>{};
 }
 

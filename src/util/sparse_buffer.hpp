@@ -1,9 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
-#include <unordered_map>
 
 namespace vmic {
 
@@ -16,6 +17,11 @@ namespace vmic {
 /// simulated VM-image payload, while the QCOW2 *metadata* written by the
 /// drivers — headers, L1/L2 tables, refcounts — is non-zero and is stored
 /// faithfully so the format code round-trips bit-exactly.
+///
+/// Pages live in fixed-size chunks of page slots keyed by chunk number, so
+/// a read or write looks up each chunk it touches once and indexes its
+/// pages directly. A chunk exists only while it holds a page: a write at
+/// any offset allocates at most one chunk and the pages it makes non-zero.
 class SparseBuffer {
  public:
   static constexpr std::uint64_t kPageSize = 4096;
@@ -42,18 +48,25 @@ class SparseBuffer {
   void resize(std::uint64_t new_size);
 
   /// Bytes of actually materialised storage (diagnostics / tests).
-  [[nodiscard]] std::uint64_t materialized_bytes() const noexcept {
-    return pages_.size() * kPageSize;
-  }
+  [[nodiscard]] std::uint64_t materialized_bytes() const noexcept;
 
-  /// Deep copy (the type is move-only to keep accidental copies out of
-  /// hot paths; crash exploration clones disks deliberately, e.g. to
-  /// replay repair-time cuts against one post-crash state).
+  /// Deep copy of the present pages (the type is move-only to keep
+  /// accidental copies out of hot paths; crash exploration clones disks
+  /// deliberately, e.g. to replay repair-time cuts against one post-crash
+  /// state, and SimDirectory::clone_file copies files with it).
   [[nodiscard]] SparseBuffer clone() const;
 
  private:
+  static constexpr std::uint64_t kChunkPages = 512;  // 2 MiB of file
+  static constexpr std::uint64_t kChunkBytes = kChunkPages * kPageSize;
+
   using Page = std::unique_ptr<std::uint8_t[]>;
-  std::unordered_map<std::uint64_t, Page> pages_;  // key: page index
+  struct Chunk {
+    std::array<Page, kChunkPages> pages{};  // null = absent (reads as zero)
+    std::uint64_t live = 0;                 // non-null slots
+  };
+
+  std::map<std::uint64_t, std::unique_ptr<Chunk>> chunks_;  // key: chunk no.
   std::uint64_t size_ = 0;
 };
 

@@ -103,6 +103,57 @@ TEST(Nfs, SmallReadRoundedToFetchQuantum) {
   EXPECT_EQ(rig.server.stats().tx_payload_bytes, 4096u);
 }
 
+// A READ whose fetch window is exactly the requested chunk lands straight
+// in the caller's buffer; any other goes through a window buffer. Both
+// return the server's bytes and bill the same RPCs and payload as ever.
+TEST(Nfs, DirectAndWindowedReadsReturnServerBytes) {
+  Rig rig;
+  const auto data = pattern_bytes(3, 1_MiB);
+  {
+    auto be = rig.server_dir.create_file("f.img");
+    ASSERT_TRUE(be.ok());
+    sim::run_sync(rig.env, [&]() -> Task<void> {
+      (void)co_await (*be)->pwrite(0, data);
+    }());
+  }
+  auto client = rig.mount.open_file("f.img", false);
+  ASSERT_TRUE(client.ok());
+  struct Billed {
+    std::uint64_t rpcs, payload;
+  };
+  auto read = [&](std::uint64_t off, std::size_t n) {
+    const auto& st = rig.server.stats();
+    const Billed before{st.read_rpcs, st.tx_payload_bytes};
+    std::vector<std::uint8_t> out(n, 0xEE);
+    const bool ok = sim::run_sync(rig.env, [&]() -> Task<bool> {
+      co_return (co_await (*client)->pread(off, out)).ok();
+    }());
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(0, std::memcmp(out.data(), data.data() + off, n))
+        << "read at " << off;
+    return Billed{st.read_rpcs - before.rpcs,
+                  st.tx_payload_bytes - before.payload};
+  };
+
+  // Page-aligned at both ends: two whole 64 KiB windows, both direct.
+  Billed b = read(64_KiB, 128_KiB);
+  EXPECT_EQ(b.rpcs, 2u);
+  EXPECT_EQ(b.payload, 128_KiB);
+  // Unaligned at both ends: the first window runs from the page below the
+  // offset to the chunk's end, the second covers whole pages.
+  b = read(10000, 70000);
+  EXPECT_EQ(b.rpcs, 2u);
+  EXPECT_EQ(b.payload, (75536u - 8192u) + (81920u - 73728u));
+  // Aligned start with a short ragged tail: direct, then windowed.
+  b = read(4_KiB, 64_KiB + 100);
+  EXPECT_EQ(b.rpcs, 2u);
+  EXPECT_EQ(b.payload, 64_KiB + 4_KiB);
+  // A sub-page read inside one page.
+  b = read(200_KiB + 300, 512);
+  EXPECT_EQ(b.rpcs, 1u);
+  EXPECT_EQ(b.payload, 4_KiB);
+}
+
 TEST(Nfs, WriteGoesToServer) {
   Rig rig;
   auto client = rig.mount.create_file("new.img");

@@ -117,6 +117,39 @@ TEST_F(CacheTest, CopyOnReadPopulatesCache) {
   EXPECT_EQ(cache->stats().backing_reads, base_reads_before);
 }
 
+// A fill aligned to the cache cluster at both ends is stored straight
+// from the reader's buffer; one with a head or tail is staged and
+// completed from the base. Either way the cache holds the base's bytes.
+TEST_F(CacheTest, AlignedAndPartialFillsStoreBaseBytes) {
+  auto cow = make_chain(4_MiB, /*cache_bits=*/12);
+  ASSERT_NE(cow, nullptr);
+  auto* cache = cache_of(cow);
+  const auto base = pattern_bytes(kBaseSeed, kBaseSize);
+  struct Range {
+    std::uint64_t off, len;
+  };
+  // Cluster-aligned at both ends; head and tail inside one cluster; a
+  // short read straddling two clusters.
+  for (const Range r : {Range{16_KiB, 8_KiB}, Range{40_KiB + 100, 3000},
+                        Range{60_KiB + 4000, 200}}) {
+    std::vector<std::uint8_t> out(r.len);
+    ASSERT_TRUE(sync_wait(cow->read(r.off, out)).ok());
+    ASSERT_EQ(0, std::memcmp(out.data(), base.data() + r.off, r.len));
+  }
+  EXPECT_EQ(cache->stats().cor_fills, 3u);
+  EXPECT_EQ(cache->stats().cor_bytes, 8_KiB + 4_KiB + 8_KiB);
+  // Whole clusters read back from the cache come from its file.
+  const auto backing_reads = cache->stats().backing_reads;
+  for (const Range r : {Range{16_KiB, 8_KiB}, Range{40_KiB, 4_KiB},
+                        Range{60_KiB, 8_KiB}}) {
+    std::vector<std::uint8_t> out(r.len);
+    ASSERT_TRUE(sync_wait(cache->read(r.off, out)).ok());
+    EXPECT_EQ(0, std::memcmp(out.data(), base.data() + r.off, r.len))
+        << "cluster run at " << r.off;
+  }
+  EXPECT_EQ(cache->stats().backing_reads, backing_reads);
+}
+
 TEST_F(CacheTest, WarmCacheServesWithoutBase) {
   // §3: "the cache is standalone; a VM can start booting using it" —
   // once the working set is cached, the base sees zero reads.

@@ -3,6 +3,7 @@
 // (512 B ... 64 KiB), including the paper's two interesting points.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -455,6 +456,102 @@ TEST(Qcow2Create, RejectsInvalidOptions) {
   opt.cache_quota = 512;  // cannot even hold the metadata skeleton
   EXPECT_EQ(sync_wait(Qcow2Device::create(**be, opt)).error(),
             Errc::invalid_argument);
+  // The largest disk whose L1 table fits the limit open() enforces (4 Mi
+  // entries of 32 KiB at 512 B clusters) is created and opens; one byte
+  // more is refused, by create and by resize.
+  opt.cache_quota = 0;
+  const std::uint64_t max_size = kMaxL1Bytes / 8 * 32_KiB;
+  opt.virtual_size = max_size + 1;
+  EXPECT_EQ(sync_wait(Qcow2Device::create(**be, opt)).error(),
+            Errc::invalid_argument);
+  opt.virtual_size = max_size;
+  ASSERT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
+  auto dev = sync_wait(open_image(store, "x"));
+  ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+  EXPECT_EQ((*dev)->size(), max_size);
+  auto* q = dynamic_cast<Qcow2Device*>(dev->get());
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(sync_wait(q->resize(max_size + 1)).error(),
+            Errc::invalid_argument);
+}
+
+// Crafted headers: each field open() sizes a buffer from is bounded
+// before anything is allocated, and a bad value is a typed error.
+
+/// Create a 64 MiB image (64 KiB clusters, optionally journaled), let
+/// `poke` rewrite header bytes in place, then open it read-only. Returns
+/// the open's error (Errc::ok when it succeeds).
+Errc open_crafted(const std::function<void(SparseBuffer&)>& poke,
+                  std::uint32_t journal_sectors = 0) {
+  MemImageStore store;
+  auto be = store.create_file("img");
+  EXPECT_TRUE(be.ok());
+  Qcow2Device::CreateOptions opt;
+  opt.virtual_size = 64_MiB;
+  opt.journal_sectors = journal_sectors;
+  EXPECT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
+  poke(**store.buffer("img"));
+  auto file = store.open_file("img", /*writable=*/false);
+  EXPECT_TRUE(file.ok());
+  return sync_wait(Qcow2Device::open(std::move(*file), {})).error();
+}
+
+void poke_be32(SparseBuffer& b, std::uint64_t off, std::uint32_t v) {
+  std::uint8_t be[4];
+  store_be32(be, v);
+  b.write(off, be);
+}
+
+void poke_be64(SparseBuffer& b, std::uint64_t off, std::uint64_t v) {
+  std::uint8_t be[8];
+  store_be64(be, v);
+  b.write(off, be);
+}
+
+TEST(Qcow2CraftedHeader, OversizedL1TableRefused) {
+  constexpr std::uint32_t kLimit = kMaxL1Bytes / 8;  // entries
+  for (const std::uint32_t l1 : {0xFFFFFFFFu, kLimit + 1}) {
+    EXPECT_EQ(open_crafted([&](SparseBuffer& b) { poke_be32(b, 36, l1); }),
+              Errc::unsupported)
+        << l1;
+  }
+}
+
+TEST(Qcow2CraftedHeader, OversizedRefcountTableRefused) {
+  constexpr std::uint32_t kLimit = kMaxRefcountTableBytes / 64_KiB;
+  for (const std::uint32_t rt : {0x00FFFFFFu, kLimit + 1}) {
+    EXPECT_EQ(open_crafted([&](SparseBuffer& b) { poke_be32(b, 56, rt); }),
+              Errc::unsupported)
+        << rt;
+  }
+  // At the limit the table is loaded (the bytes past the real table read
+  // as unused entries).
+  EXPECT_EQ(open_crafted([&](SparseBuffer& b) { poke_be32(b, 56, kLimit); }),
+            Errc::ok);
+}
+
+TEST(Qcow2CraftedHeader, L1TableMustCoverVirtualSize) {
+  // One L2 table maps 512 MiB at 64 KiB clusters; the image has one L1
+  // entry.
+  EXPECT_EQ(open_crafted([](SparseBuffer& b) { poke_be64(b, 24, 512_MiB); }),
+            Errc::ok);
+  EXPECT_EQ(
+      open_crafted([](SparseBuffer& b) { poke_be64(b, 24, 512_MiB + 1); }),
+      Errc::corrupt);
+  EXPECT_EQ(open_crafted([](SparseBuffer& b) { poke_be32(b, 36, 0); }),
+            Errc::corrupt);
+}
+
+TEST(Qcow2CraftedHeader, JournalRegionPastEndOfFileRefused) {
+  // The journal extension follows the 104-byte header: magic, length,
+  // then the region's u64 offset and u64 size.
+  constexpr std::uint64_t kSizeField = kHeaderLength + 8 + 8;
+  EXPECT_EQ(open_crafted([](SparseBuffer&) {}, /*journal_sectors=*/16),
+            Errc::ok);
+  EXPECT_EQ(open_crafted(
+                [](SparseBuffer& b) { poke_be64(b, kSizeField, 1ull << 40); },
+                /*journal_sectors=*/16),
+            Errc::corrupt);
 }
 
 }  // namespace

@@ -230,18 +230,43 @@ TEST(SimDirectory, CloneFileCopiesBytes) {
   SimEnv env;
   MemMedium mem{env};
   SimDirectory a{mem}, b{mem};
+  // Non-zero pages on both sides of a multi-MiB hole, and a logical size
+  // that ends mid-page past the last written byte.
+  const std::uint64_t far = 3_MiB + 100;
+  const std::uint64_t size = far + 5000 + 777;
   {
     auto be = a.create_file("src");
     std::vector<std::uint8_t> data(5000, 7);
     ASSERT_TRUE(sim::run_sync(env, [&]() -> Task<bool> {
-      co_return (co_await (*be)->pwrite(0, data)).ok();
+      co_return (co_await (*be)->pwrite(0, data)).ok() &&
+                (co_await (*be)->pwrite(far, data)).ok() &&
+                (co_await (*be)->truncate(size)).ok();
     }()));
   }
   ASSERT_TRUE(SimDirectory::clone_file(a, "src", b, "dst").ok());
-  EXPECT_EQ(*b.file_size("dst"), 5000u);
-  std::vector<std::uint8_t> out(5000);
-  (*b.buffer("dst"))->read(0, out);
-  EXPECT_EQ(out[4999], 7);
+  EXPECT_EQ(*b.file_size("dst"), size);
+  std::vector<std::uint8_t> want(size), got(size);
+  (*a.buffer("src"))->read(0, want);
+  (*b.buffer("dst"))->read(0, got);
+  EXPECT_TRUE(got == want);
+  EXPECT_EQ(got[4999], 7);
+  EXPECT_EQ(got[5000], 0);  // the hole reads as zeros
+  EXPECT_EQ(got[far - 1], 0);
+  EXPECT_EQ(got[far], 7);
+  EXPECT_EQ(got[size - 1], 0);
+
+  // The clone is independent of its source, in both directions.
+  const std::uint8_t x = 0xA5, y = 0x3C;
+  (*b.buffer("dst"))->write(2_MiB, {&x, 1});
+  (*a.buffer("src"))->write(10, {&y, 1});
+  std::uint8_t v = 0;
+  (*a.buffer("src"))->read(2_MiB, {&v, 1});
+  EXPECT_EQ(v, 0);
+  (*b.buffer("dst"))->read(10, {&v, 1});
+  EXPECT_EQ(v, 7);
+  a.remove("src");
+  (*b.buffer("dst"))->read(far, {&v, 1});
+  EXPECT_EQ(v, 7);
 }
 
 TEST(SimDirectory, OpenMissingFails) {

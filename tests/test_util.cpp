@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "util/align.hpp"
@@ -132,6 +133,24 @@ TEST(Bytes, IsAllZero) {
   z[0] = 1;
   EXPECT_FALSE(is_all_zero(z));
   EXPECT_TRUE(is_all_zero({z.data() + 1, 3}));  // unaligned short span
+}
+
+TEST(Bytes, IsAllZeroFindsEveryByte) {
+  // Every length through two 64-byte blocks plus a word and byte tail, at
+  // every alignment within a word, with the one non-zero byte anywhere.
+  std::vector<std::uint8_t> buf(8 + 200, 0);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 200; ++len) {
+      const std::span<const std::uint8_t> s{buf.data() + align, len};
+      ASSERT_TRUE(is_all_zero(s));
+      for (std::size_t i = 0; i < len; ++i) {
+        buf[align + i] = 0x80;
+        ASSERT_FALSE(is_all_zero(s)) << "align " << align << " len " << len
+                                     << " byte " << i;
+        buf[align + i] = 0;
+      }
+    }
+  }
 }
 
 TEST(Bytes, Fnv1aStable) {
@@ -293,6 +312,146 @@ TEST(SparseBuffer, ResizeTruncates) {
   b.read(0, out);
   for (std::size_t i = 0; i < 100; ++i) ASSERT_EQ(out[i], 0xAB);
   EXPECT_TRUE(is_all_zero({out.data() + 100, out.size() - 100}));
+}
+
+// Differential test of the chunked page store against a flat byte vector,
+// plus a page-set model of the elision rule: a page is materialised only
+// when a non-zero byte lands on a page that is absent, and only truncation
+// drops pages. The chunk span (512 pages = 2 MiB) is an implementation
+// detail, so writes cluster around every 2 MiB boundary of a space that
+// spans three chunks: any power-of-two chunk size up to 2 MiB is crossed.
+TEST(SparseBuffer, DifferentialAgainstFlatReference) {
+  constexpr std::uint64_t kPage = SparseBuffer::kPageSize;
+  constexpr std::uint64_t kChunk = 2 * MiB;
+  constexpr std::uint64_t kSpace = 2 * kChunk + kChunk / 4;
+
+  struct Model {
+    SparseBuffer buf;
+    std::vector<std::uint8_t> ref = std::vector<std::uint8_t>(kSpace, 0);
+    std::uint64_t size = 0;
+    std::set<std::uint64_t> pages;
+
+    void write(std::uint64_t off, std::span<const std::uint8_t> src) {
+      buf.write(off, src);
+      for (std::uint64_t p = off; p < off + src.size();) {
+        const std::uint64_t end =
+            std::min(off + src.size(), (p / kPage + 1) * kPage);
+        if (!is_all_zero(src.subspan(p - off, end - p))) {
+          pages.insert(p / kPage);
+        }
+        p = end;
+      }
+      std::copy(src.begin(), src.end(), ref.begin() + off);
+      size = std::max(size, off + src.size());
+    }
+    void resize(std::uint64_t n) {
+      buf.resize(n);
+      if (n < size) {
+        pages.erase(pages.lower_bound((n + kPage - 1) / kPage), pages.end());
+        std::fill(ref.begin() + n, ref.begin() + size, 0);
+      }
+      size = n;
+    }
+    void check(const char* what, int step) const {
+      ASSERT_EQ(buf.size(), size) << what << " step " << step;
+      ASSERT_EQ(buf.materialized_bytes(), pages.size() * kPage)
+          << what << " step " << step;
+      // The whole space, including bytes past size() (which read as zero).
+      std::vector<std::uint8_t> out(kSpace, 0xEE);
+      buf.read(0, out);
+      ASSERT_TRUE(out == ref) << what << " step " << step;
+    }
+  };
+
+  Rng rng{0x5b0f};
+  auto offset_near_boundary = [&]() {
+    const std::uint64_t boundary = kChunk * (1 + rng.below(2));
+    return boundary - 3 * kPage + rng.below(6 * kPage);
+  };
+  auto bytes = [&](std::uint64_t n, int kind) {
+    std::vector<std::uint8_t> v(n, 0);
+    if (kind == 0) {
+      for (auto& b : v) b = static_cast<std::uint8_t>(rng.next() | 1);
+    } else if (kind == 1 && n > 0) {
+      v[rng.below(n)] = 0x42;  // one non-zero byte in a zero run
+    }  // kind 2: all zero
+    return v;
+  };
+
+  Model m;
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.below(10);
+    if (op < 6) {
+      // Random, partial-page, or all-zero writes, often chunk-crossing.
+      const std::uint64_t len =
+          rng.below(4) == 0 ? rng.below(3 * kChunk / 2) : rng.below(3 * kPage);
+      std::uint64_t off =
+          rng.below(2) == 0 ? offset_near_boundary() : rng.below(kSpace);
+      off = std::min(off, kSpace - len);
+      const auto v = bytes(len, static_cast<int>(rng.below(3)));
+      m.write(off, v);
+      ASSERT_NO_FATAL_FAILURE(m.check("write", step));
+    } else if (op < 8) {
+      // Straddling read at any offset, also past the logical size.
+      const std::uint64_t len = rng.below(2 * kPage + 100);
+      const std::uint64_t off = rng.below(kSpace - len);
+      std::vector<std::uint8_t> out(len, 0xEE);
+      m.buf.read(off, out);
+      ASSERT_EQ(0, std::memcmp(out.data(), m.ref.data() + off, len))
+          << "read step " << step;
+      ASSERT_NO_FATAL_FAILURE(m.check("read", step));
+    } else if (op == 8) {
+      // Shrink mid-page or mid-chunk, then maybe grow straight back.
+      const std::uint64_t n = rng.below(2) == 0
+                                  ? offset_near_boundary() + rng.below(kPage)
+                                  : rng.below(m.size + 1);
+      m.resize(std::min(n, kSpace));
+      ASSERT_NO_FATAL_FAILURE(m.check("shrink", step));
+      if (rng.below(2) == 0) {
+        m.resize(std::max(m.size, rng.below(kSpace)));
+        ASSERT_NO_FATAL_FAILURE(m.check("grow", step));
+      }
+    } else {
+      // Clone, then mutate both copies differently: neither sees the
+      // other's write.
+      Model c;
+      c.buf = m.buf.clone();
+      c.ref = m.ref;
+      c.size = m.size;
+      c.pages = m.pages;
+      ASSERT_NO_FATAL_FAILURE(c.check("clone", step));
+      const std::uint64_t off = offset_near_boundary();
+      c.write(off, bytes(2 * kPage, 0));
+      m.write(off + kPage / 2, bytes(kPage, 1));
+      ASSERT_NO_FATAL_FAILURE(c.check("clone mutated", step));
+      ASSERT_NO_FATAL_FAILURE(m.check("source mutated", step));
+      if (rng.below(2) == 0) m = std::move(c);
+      ASSERT_NO_FATAL_FAILURE(m.check("clone kept", step));
+    }
+  }
+  // Truncate to nothing: every page goes.
+  m.resize(0);
+  ASSERT_NO_FATAL_FAILURE(m.check("truncate all", 400));
+  EXPECT_EQ(m.buf.materialized_bytes(), 0u);
+}
+
+TEST(SparseBuffer, HugeOffsetMaterializesOnePage) {
+  SparseBuffer b;
+  const std::uint64_t off = std::uint64_t{1} << 62;
+  const std::uint8_t v = 0x5A;
+  b.write(off, {&v, 1});
+  EXPECT_EQ(b.size(), off + 1);
+  EXPECT_EQ(b.materialized_bytes(), SparseBuffer::kPageSize);
+  std::uint8_t out[3] = {1, 1, 1};
+  b.read(off - 1, out);
+  EXPECT_EQ(out[0], 0);
+  EXPECT_EQ(out[1], 0x5A);
+  EXPECT_EQ(out[2], 0);
+  const SparseBuffer c = b.clone();
+  EXPECT_EQ(c.materialized_bytes(), SparseBuffer::kPageSize);
+  b.resize(off);
+  EXPECT_EQ(b.materialized_bytes(), 0u);
+  EXPECT_EQ(c.size(), off + 1);
 }
 
 // --------------------------------------------------------------------------

@@ -57,6 +57,14 @@ RC=0; "$VMI_IMG" check corrupt.qcow2 >/dev/null || RC=$?
 [ "$RC" -eq 2 ] || { echo "expected exit 2, got $RC"; exit 1; }
 "$VMI_IMG" check corrupt.qcow2 --json | grep -q '"corruptions": 1'
 
+echo "--- oversized L1 table in the header -> info fails cleanly (exit 1)"
+cp scratch.qcow2 bigl1.qcow2
+printf '\377\377\377\377' \
+  | dd of=bigl1.qcow2 bs=1 seek=36 conv=notrunc 2>/dev/null
+RC=0; "$VMI_IMG" info bigl1.qcow2 >/dev/null 2>err.txt || RC=$?
+[ "$RC" -eq 1 ] || { echo "expected exit 1, got $RC"; exit 1; }
+grep -q unsupported err.txt
+
 echo "--- check --repair clears the bad pointer and exits 0"
 "$VMI_IMG" check corrupt.qcow2 --repair | grep -q "1 entries cleared"
 "$VMI_IMG" check corrupt.qcow2
