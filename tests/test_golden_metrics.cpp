@@ -659,5 +659,87 @@ TEST(GoldenMetrics, TieredChurnPinnedValues) {
   expect_cloud_counters_match(r);
 }
 
+// The churn path, scaled down from the deployment benchmark's
+// churn_restart workload to one cloud: 256 MiB images carrying 32 MiB of
+// content, so a rebase walks mostly all-zero 512 B clusters; rebased
+// publishes, durable manifests, one full-cloud restart and two node
+// crashes (two minutes down) with salvage. The rebase diff, the
+// fingerprint memo and the sparse-population event queue all sit on
+// this path.
+TEST(GoldenMetrics, ChurnRebasePinnedValues) {
+  cloud::CloudConfig cfg;
+  cfg.seed = 3;
+  cfg.horizon_s = 900.0;
+  cfg.workload.num_vmis = 12;
+  cfg.workload.mean_interarrival_s = 12.0;
+  cfg.workload.min_lifetime_s = 30.0;
+  cfg.workload.mean_extra_lifetime_s = 90.0;
+  cfg.profile.image_size = 256 * MiB;
+  cfg.profile.unique_read_bytes = 6 * MiB;
+  cfg.content_bytes = 32 * MiB;
+  cfg.cluster.node_cache_capacity = 512 * MiB;
+  cfg.updates.enabled = true;
+  cfg.updates.rate_per_hour = 16.0;
+  cfg.updates.max_events = 6;
+  cfg.updates.changed_frac = 0.10;
+  cfg.updates.policy = update::Policy::rebase;
+  cfg.manifest = true;
+  cfg.crash_salvage = true;
+  cfg.restart_at_s = {cfg.horizon_s / 2.0};
+  cfg.restart_down_s = 30.0;
+  Rng plan_rng(cfg.seed ^ 0xFA11ull);
+  cfg.failures = cloud::plan_failures(2, 0, cfg.cluster.compute_nodes,
+                                      cfg.horizon_s, plan_rng);
+  for (auto& cr : cfg.failures.crashes) cr.down_s = 120.0;
+  const cloud::CloudResult r = cloud::run_cloud(cfg);
+
+  EXPECT_EQ(r.sim_events, 361718u);
+  EXPECT_EQ(r.storage_payload_bytes, 237860368u);
+  EXPECT_EQ(r.arrivals, 73);
+  EXPECT_EQ(r.completed, 73);
+  EXPECT_EQ(r.aborted, 0);
+  EXPECT_EQ(r.rejected, 0);
+  EXPECT_EQ(r.retries, 0);
+  EXPECT_EQ(r.deploy_failures, 0);
+  EXPECT_EQ(r.crash_kills, 0);
+  EXPECT_EQ(r.vm_crashes, 9);
+  EXPECT_EQ(r.warm_hits, 56);
+  EXPECT_EQ(r.copyback_skips, 0);
+  EXPECT_EQ(r.node_crashes, 2);
+  EXPECT_EQ(r.node_recoveries, 2);
+  EXPECT_EQ(r.caches_salvaged, 2);
+  EXPECT_EQ(r.caches_invalidated, 0);
+  EXPECT_EQ(r.restarts, 1);
+  EXPECT_EQ(r.drains, 0);
+  EXPECT_EQ(r.caches_readopted, 4);
+  EXPECT_EQ(r.adopt_failures, 0);
+  EXPECT_EQ(r.adopt_stale, 0);
+  EXPECT_EQ(r.manifest_publishes, 101u);
+  EXPECT_EQ(r.post_restart_storage_bytes, 85934608u);
+  EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
+  EXPECT_EQ(r.cache_evictions, 0u);
+  EXPECT_EQ(r.peer_seed_hits, 0u);
+  EXPECT_EQ(r.peer_fallback_fills, 0u);
+  EXPECT_EQ(r.peer_bytes_served, 0u);
+  EXPECT_EQ(r.peer_timeouts, 0u);
+  EXPECT_EQ(r.dedup_local_hits, 0u);
+  EXPECT_EQ(r.dedup_zero_fills, 0u);
+  EXPECT_EQ(r.dedup_peer_hits, 0u);
+  EXPECT_EQ(r.dedup_fallbacks, 0u);
+  EXPECT_EQ(r.dedup_bytes_served, 0u);
+  EXPECT_EQ(r.updates_published, 3);
+  EXPECT_EQ(r.caches_rebased, 4);
+  EXPECT_EQ(r.update_invalidations, 0);
+  EXPECT_EQ(r.rebase_patched_clusters, 502u);
+  EXPECT_EQ(r.rebase_reused_clusters, 51805u);
+  EXPECT_EQ(r.post_update_storage_bytes, 228255248u);
+  EXPECT_EQ(r.peak_queue_depth, 4u);
+  EXPECT_NEAR(r.deploy.p50, 6.024367616, 1e-9);
+  EXPECT_NEAR(r.deploy.p99, 35.207424580, 1e-9);
+
+  expect_cloud_counters_match(r);
+}
+
 }  // namespace
 }  // namespace vmic::cluster
