@@ -1,4 +1,4 @@
-// bench_engine_throughput — the million-VM sim core, measured. Two parts:
+// bench_engine_throughput — the million-VM sim core, measured. Three parts:
 //
 //  1. Scheduler microbench: the same timer churn (a large pending
 //     population with steady fire/reschedule plus far-future
@@ -8,7 +8,13 @@
 //     The calendar queue's O(1) amortized insert/pop/cancel must beat
 //     the heap's O(log n) by at least --min-speedup (CI gates 3x).
 //
-//  2. Engine workload: a full run_cloud() at --nodes compute nodes and
+//  2. Small-population scheduler microbench (always run, ungated): 24
+//     pending timers spaced microseconds to hours apart, the shape of a
+//     single cloud's or boot storm's queue. Too few events for the
+//     calendar to resize, so it runs at its initial bucket width; both
+//     implementations report events/sec.
+//
+//  3. Engine workload: a full run_cloud() at --nodes compute nodes and
 //     roughly --sessions arrivals (the CloudStress shape: tiny per-VM
 //     weight so the run exercises the event core, the placement index
 //     and the pooled allocators, not simulated disk bandwidth). Reports
@@ -127,6 +133,55 @@ MicroResult run_micro(sim::SimEnv::QueueImpl impl, std::size_t pending,
   return r;
 }
 
+/// Drive one queue implementation through a small, sparse population:
+/// 20 timer chains, each re-armed on fire 1-4,000 ns ahead or (one time
+/// in four) 0.1-5 ms ahead, and 4 far-future timers (1 s to 1 h ahead)
+/// that re-plant themselves when they fire. There are no cancels: the
+/// heap would keep their tombstones and stop being a small population.
+MicroResult run_sparse_micro(sim::SimEnv::QueueImpl impl,
+                             std::uint64_t fires) {
+  constexpr int kChains = 20;
+  constexpr int kFarTimers = 4;
+
+  sim::SimEnv env(impl);
+  std::uint64_t rng = 0x5ba75e;
+  std::uint64_t scheduled = 0;
+  auto chain_gap = [&rng] {
+    const std::uint64_t r = splitmix(rng);
+    return static_cast<sim::SimTime>(r % 4 == 0
+                                         ? 100'000 + (r >> 2) % 4'900'000
+                                         : 1 + (r >> 2) % 4'000);
+  };
+  auto far_gap = [&rng] {
+    return static_cast<sim::SimTime>(1'000'000'000ull +
+                                     splitmix(rng) % 3'599'000'000'000ull);
+  };
+  std::function<void()> on_chain = [&] {
+    if (scheduled < fires) {
+      ++scheduled;
+      env.call_at(env.now() + chain_gap(), on_chain);
+    }
+  };
+  std::function<void()> on_far = [&] {
+    if (scheduled < fires) env.call_at(env.now() + far_gap(), on_far);
+  };
+
+  const double t0 = now_s();
+  for (int i = 0; i < kFarTimers; ++i) env.call_at(far_gap(), on_far);
+  for (int i = 0; i < kChains; ++i) {
+    ++scheduled;
+    env.call_at(chain_gap(), on_chain);
+  }
+  env.run();
+  const double wall = now_s() - t0;
+
+  MicroResult r;
+  r.events = env.events_processed();
+  r.wall_s = wall;
+  r.events_per_sec = wall > 0 ? static_cast<double>(r.events) / wall : 0;
+  return r;
+}
+
 struct EngineResult {
   int arrivals = 0;
   int completed = 0;
@@ -231,6 +286,30 @@ int main(int argc, char** argv) {
               heap.wall_s);
   std::printf("  speedup:  %.2fx\n", speedup);
 
+  constexpr std::uint64_t kSparsePending = 24;
+  constexpr std::uint64_t kSparseFires = 1u << 20;
+  std::printf("== small-population scheduler micro: %llu pending, %llu "
+              "fires ==\n",
+              static_cast<unsigned long long>(kSparsePending),
+              static_cast<unsigned long long>(kSparseFires));
+  const MicroResult sparse_cal =
+      run_sparse_micro(sim::SimEnv::QueueImpl::calendar, kSparseFires);
+  const MicroResult sparse_heap =
+      run_sparse_micro(sim::SimEnv::QueueImpl::heap, kSparseFires);
+  if (sparse_cal.events != sparse_heap.events) {
+    std::fprintf(stderr,
+                 "impl divergence (small population): calendar fired %llu, "
+                 "heap fired %llu\n",
+                 static_cast<unsigned long long>(sparse_cal.events),
+                 static_cast<unsigned long long>(sparse_heap.events));
+    return 1;
+  }
+  std::printf("  calendar: %10.0f events/s  (%.2fs, %llu events)\n",
+              sparse_cal.events_per_sec, sparse_cal.wall_s,
+              static_cast<unsigned long long>(sparse_cal.events));
+  std::printf("  heap:     %10.0f events/s  (%.2fs)\n",
+              sparse_heap.events_per_sec, sparse_heap.wall_s);
+
   std::printf("== engine: %d nodes, ~%d sessions ==\n", nodes, sessions);
   const EngineResult eng = run_engine(nodes, sessions);
   const double rss = peak_rss_mib();
@@ -270,6 +349,12 @@ int main(int argc, char** argv) {
                  "    \"heap_events_per_sec\": %.1f,\n"
                  "    \"speedup\": %.3f\n"
                  "  },\n"
+                 "  \"sparse_scheduler_micro\": {\n"
+                 "    \"pending\": %llu,\n"
+                 "    \"events\": %llu,\n"
+                 "    \"calendar_events_per_sec\": %.1f,\n"
+                 "    \"heap_events_per_sec\": %.1f\n"
+                 "  },\n"
                  "  \"engine\": {\n"
                  "    \"nodes\": %d,\n"
                  "    \"sessions\": %d,\n"
@@ -290,7 +375,10 @@ int main(int argc, char** argv) {
                  "}\n",
                  micro_pending,
                  static_cast<unsigned long long>(cal.events),
-                 cal.events_per_sec, heap.events_per_sec, speedup, nodes,
+                 cal.events_per_sec, heap.events_per_sec, speedup,
+                 static_cast<unsigned long long>(kSparsePending),
+                 static_cast<unsigned long long>(sparse_cal.events),
+                 sparse_cal.events_per_sec, sparse_heap.events_per_sec, nodes,
                  sessions, eng.arrivals, eng.completed,
                  static_cast<unsigned long long>(eng.sim_events),
                  eng.sim_seconds, eng.wall_s, eng.events_per_sec, rss,

@@ -236,11 +236,16 @@ class Engine {
       h_adopt_seconds_ = &reg.histogram("cloud.adopt.seconds", {},
                                         {0.01, 0.05, 0.1, 0.5, 1, 5, 30});
     }
+    // The fingerprint memo serves the dedup tier and doubles as the
+    // rebase diff oracle of image updates.
+    if (cfg_.dedup || cfg_.updates.enabled) {
+      fp_memo_.resize(static_cast<std::size_t>(num_vmis_));
+      zero_fp_ = fnv1a(std::vector<std::uint8_t>(cache_cluster_bytes(), 0));
+    }
     // Dedup tier: same golden-pin rule as the peer tier — a dedup-off run
     // must not even create the dedup.* instruments.
     if (cfg_.dedup) {
       didx_.resize(cl_.nodes.size());
-      fp_memo_.resize(static_cast<std::size_t>(num_vmis_));
       c_dedup_local_ = &reg.counter("dedup.local_hits");
       c_dedup_zero_ = &reg.counter("dedup.zero_fills");
       c_dedup_peer_ = &reg.counter("dedup.peer_hits");
@@ -255,13 +260,9 @@ class Engine {
     // Image-update churn: the publish schedule and its instruments exist
     // only when the workload is on (golden-pin rule). The schedule draws
     // from its own fork of the run seed, so --updates never perturbs the
-    // arrival or failure streams. The fingerprint memo doubles as the
-    // rebase diff oracle, so it is sized even when the dedup tier is off.
+    // arrival or failure streams.
     catalog_ver_.assign(static_cast<std::size_t>(num_vmis_), 0);
     if (cfg_.updates.enabled) {
-      if (fp_memo_.empty()) {
-        fp_memo_.resize(static_cast<std::size_t>(num_vmis_));
-      }
       Rng urng(cfg_.seed ^ 0x1ba5e'ca7a'f00dull);
       update_events_ = update::generate_schedule(cfg_.updates, num_vmis_,
                                                  cfg_.horizon_s, urng);
@@ -824,18 +825,19 @@ class Engine {
     auto it = memo.find(key);
     if (it != memo.end()) return it->second;
     const std::uint64_t ccs = cache_cluster_bytes();
-    std::vector<std::uint8_t> buf(ccs, 0);
+    fp_buf_.assign(ccs, 0);
     SparseBuffer* base = *cl_.storage.disk_dir.buffer(img_name(vk));
     const std::uint64_t off = cluster * ccs;
     if (off < base->size()) {
-      base->read(off, {buf.data(),
+      base->read(off, {fp_buf_.data(),
                        static_cast<std::size_t>(
                            std::min<std::uint64_t>(ccs, base->size() - off))});
     }
+    // Most clusters of a sparse base are all zero: they share one
+    // fingerprint, computed once, instead of each being hashed.
     FpEntry e;
-    e.fp = fnv1a(buf);
-    e.zero = std::all_of(buf.begin(), buf.end(),
-                         [](std::uint8_t b) { return b == 0; });
+    e.zero = is_all_zero(fp_buf_);
+    e.fp = e.zero ? zero_fp_ : fnv1a(fp_buf_);
     memo.emplace(key, e);
     return e;
   }
@@ -2098,6 +2100,8 @@ class Engine {
   std::vector<dedup::FingerprintIndex> didx_;  ///< one per node
   /// Per-VMI memoized cluster fingerprints (host-side manifests).
   std::vector<std::unordered_map<std::uint64_t, FpEntry>> fp_memo_;
+  std::uint64_t zero_fp_ = 0;          ///< fingerprint of an all-zero cluster
+  std::vector<std::uint8_t> fp_buf_;   ///< fp_of's cluster scratch
   obs::Counter* c_dedup_local_ = nullptr;
   obs::Counter* c_dedup_zero_ = nullptr;
   obs::Counter* c_dedup_peer_ = nullptr;

@@ -199,11 +199,20 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   if (hdr.size() < kHeaderLength) co_return Errc::invalid_format;
   VMIC_CO_TRY_VOID(co_await file->pread(0, hdr));
   VMIC_CO_TRY(parsed, parse_header_area(hdr));
-  // The journal region must lie inside the file: open() and repair() read
-  // it whole.
-  if (parsed.journal && (parsed.journal->size > file->size() ||
-                         parsed.journal->offset >
-                             file->size() - parsed.journal->size)) {
+  // The L1 table, the refcount table and the journal region must lie
+  // inside the file: open() reads the tables whole (and open() and
+  // repair() the journal), so a header claiming more than the file holds
+  // is refused before anything is allocated for them.
+  const auto inside = [size = file->size()](std::uint64_t off,
+                                            std::uint64_t len) {
+    return len <= size && off <= size - len;
+  };
+  const Header& h = parsed.h;
+  if (!inside(h.l1_table_offset, std::uint64_t{h.l1_size} * 8) ||
+      !inside(h.refcount_table_offset,
+              std::uint64_t{h.refcount_table_clusters} << h.cluster_bits) ||
+      (parsed.journal &&
+       !inside(parsed.journal->offset, parsed.journal->size))) {
     co_return Errc::corrupt;
   }
 

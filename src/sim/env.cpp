@@ -12,6 +12,10 @@ namespace {
 
 constexpr std::uint32_t kMinBuckets = 64;
 constexpr std::uint32_t kMaxBuckets = 1u << 20;
+/// Buckets per occupancy-bitmap word. Every wheel size is a power of two
+/// of at least one word, so the word count is a power of two too.
+constexpr std::uint32_t kWordBits = 64;
+static_assert(kMinBuckets % kWordBits == 0);
 /// Bucket width is clamped so year arithmetic can never overflow SimTime
 /// even at the largest wheel size.
 constexpr SimTime kMaxWidth = SimTime{1} << 42;
@@ -33,6 +37,7 @@ SimEnv::SimEnv(QueueImpl impl) : impl_(impl) {
     nbuckets_ = kMinBuckets;
     mask_ = nbuckets_ - 1;
     buckets_.assign(nbuckets_, Bucket{});
+    occupied_.assign(nbuckets_ / kWordBits, 0);
     cur_ = 0;
     cur_top_ = width_;
   }
@@ -44,6 +49,7 @@ void SimEnv::link_sorted(std::uint32_t idx) {
   Entry& e = pool_[idx];
   const std::uint32_t b = bucket_of(e.time);
   e.bucket = b;
+  occupied_[b / kWordBits] |= std::uint64_t{1} << (b % kWordBits);
   Bucket& bk = buckets_[b];
   // Walk from the tail: the common cases (a later time, or an equal time
   // with a larger seq) insert at the tail immediately, preserving FIFO
@@ -51,7 +57,7 @@ void SimEnv::link_sorted(std::uint32_t idx) {
   std::uint32_t after = bk.tail;
   while (after != kNil) {
     const Entry& a = pool_[after];
-    if (a.time < e.time || (a.time == e.time && a.seq < e.seq)) break;
+    if (a < e) break;
     after = a.prev;
   }
   if (after == kNil) {
@@ -83,6 +89,10 @@ void SimEnv::unlink(std::uint32_t idx) {
   } else {
     bk.tail = e.prev;
   }
+  if (bk.head == kNil) {
+    occupied_[e.bucket / kWordBits] &=
+        ~(std::uint64_t{1} << (e.bucket % kWordBits));
+  }
   e.prev = e.next = kNil;
   --live_count_;
 }
@@ -109,57 +119,63 @@ SimEnv::TimerId SimEnv::insert_entry(SimTime t, std::coroutine_handle<> h,
   // An event earlier than the current scan window would be missed for a
   // whole lap: rewind the year scan to its bucket. Also (re)anchor the
   // scan when the wheel was empty.
-  if (live_count_ == 0 || t < cur_top_ - width_) {
-    cur_ = bucket_of(t);
-    cur_top_ =
-        (static_cast<SimTime>(static_cast<std::uint64_t>(t) /
-                              static_cast<std::uint64_t>(width_)) +
-         1) *
-        width_;
-  }
+  if (live_count_ == 0 || t < cur_top_ - width_) set_cursor(t);
   link_sorted(idx);
   ++live_count_;
   maybe_resize();
   return id;
 }
 
+void SimEnv::set_cursor(SimTime t) noexcept {
+  cur_ = bucket_of(t);
+  cur_top_ = (static_cast<SimTime>(static_cast<std::uint64_t>(t) /
+                                   static_cast<std::uint64_t>(width_)) +
+              1) *
+             width_;
+}
+
+std::uint32_t SimEnv::next_occupied(std::uint32_t b) const noexcept {
+  const std::size_t last_word = occupied_.size() - 1;
+  std::size_t w = b / kWordBits;
+  // Drop the buckets before `b` from its own word only: once the search
+  // wraps all the way round, that word is read whole, low bits included.
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (b % kWordBits));
+  while (bits == 0) {
+    w = (w + 1) & last_word;
+    bits = occupied_[w];
+  }
+  return static_cast<std::uint32_t>(w * kWordBits) +
+         static_cast<std::uint32_t>(std::countr_zero(bits));
+}
+
 std::uint32_t SimEnv::find_min() {
   if (live_count_ == 0) return kNil;
-  std::uint32_t scanned = 0;
+  // One lap of the ring from the scan cursor, visiting each occupied
+  // bucket once and jumping the empty ones a bitmap word at a time (the
+  // cursor's window advances by the buckets jumped). Every live entry
+  // lies at or after the cursor's window and each bucket's head is its
+  // earliest entry, so the first head inside its bucket's window of the
+  // current year is the minimum.
+  std::uint32_t best = kNil;
+  std::uint32_t lap = 0;  // buckets advanced past the starting cursor
   for (;;) {
-    const std::uint32_t h = buckets_[cur_].head;
-    if (h != kNil && pool_[h].time < cur_top_) return h;
+    const std::uint32_t b = next_occupied(cur_);
+    const std::uint32_t gap = static_cast<std::uint32_t>((b - cur_) & mask_);
+    lap += gap;
+    if (lap >= nbuckets_) break;  // back at a bucket already visited
+    cur_ = b;
+    cur_top_ += width_ * gap;
+    const std::uint32_t h = buckets_[b].head;
+    if (pool_[h].time < cur_top_) return h;
+    if (best == kNil || pool_[h] < pool_[best]) best = h;
     cur_ = static_cast<std::uint32_t>((cur_ + 1) & mask_);
     cur_top_ += width_;
-    if (++scanned > nbuckets_) {
-      // Sparse year: no event within a full lap of the wheel. Find the
-      // global minimum directly and jump the scan to its year.
-      std::uint32_t best = kNil;
-      for (std::uint32_t b = 0; b < nbuckets_; ++b) {
-        const std::uint32_t bh = buckets_[b].head;
-        if (bh == kNil) continue;
-        if (best == kNil) {
-          best = bh;
-          continue;
-        }
-        const Entry& cand = pool_[bh];
-        const Entry& cur_best = pool_[best];
-        if (cand.time < cur_best.time ||
-            (cand.time == cur_best.time && cand.seq < cur_best.seq)) {
-          best = bh;
-        }
-      }
-      assert(best != kNil);
-      const Entry& e = pool_[best];
-      cur_ = e.bucket;
-      cur_top_ =
-          (static_cast<SimTime>(static_cast<std::uint64_t>(e.time) /
-                                static_cast<std::uint64_t>(width_)) +
-           1) *
-          width_;
-      return best;
-    }
+    if (++lap >= nbuckets_) break;
   }
+  // Sparse year: no entry within a lap of the wheel. The earliest head
+  // seen is the global minimum; jump the scan to its year.
+  set_cursor(pool_[best].time);
+  return best;
 }
 
 void SimEnv::rebuild(std::uint32_t new_buckets) {
@@ -198,31 +214,18 @@ void SimEnv::rebuild(std::uint32_t new_buckets) {
   nbuckets_ = new_buckets;
   mask_ = nbuckets_ - 1;
   buckets_.assign(nbuckets_, Bucket{});
+  occupied_.assign(nbuckets_ / kWordBits, 0);
   // Relink in (time, seq) order: every insert is then a tail append, so
   // the rebuild is one sort (skipped when the ring walk above already
   // produced sorted order) plus O(n) links.
   const auto by_time_seq = [this](std::uint32_t a, std::uint32_t b) {
-    const Entry& ea = pool_[a];
-    const Entry& eb = pool_[b];
-    if (ea.time != eb.time) return ea.time < eb.time;
-    return ea.seq < eb.seq;
+    return pool_[a] < pool_[b];
   };
   if (!std::is_sorted(all.begin(), all.end(), by_time_seq)) {
     std::sort(all.begin(), all.end(), by_time_seq);
   }
   for (std::uint32_t i : all) link_sorted(i);
-  if (!all.empty()) {
-    const Entry& e = pool_[all.front()];
-    cur_ = e.bucket;
-    cur_top_ =
-        (static_cast<SimTime>(static_cast<std::uint64_t>(e.time) /
-                              static_cast<std::uint64_t>(width_)) +
-         1) *
-        width_;
-  } else {
-    cur_ = 0;
-    cur_top_ = width_;
-  }
+  set_cursor(all.empty() ? 0 : pool_[all.front()].time);
 }
 
 void SimEnv::maybe_resize() {

@@ -23,10 +23,13 @@ namespace vmic::sim {
 /// The event queue is a calendar queue (Brown 1988): an open-hashed ring
 /// of time-sorted buckets whose width/size adapt to the live event
 /// population, giving O(1) amortized insert/pop where the old binary
-/// heap paid O(log n) sift costs per operation. Timer entries live in a
-/// slab pool (util::SlotPool) and TimerIds embed (slot, generation), so
-/// cancel() unlinks the entry in place in O(1) and `pending_events()` is
-/// exact — there is no tombstone set. The pre-change binary-heap queue
+/// heap paid O(log n) sift costs per operation. An occupancy bitmap (one
+/// bit per bucket) lets the dequeue scan skip empty buckets a word at a
+/// time, so a sparse population costs per occupied bucket, not per
+/// bucket of the ring. Timer entries live in a slab pool
+/// (util::SlotPool) and TimerIds embed (slot, generation), so cancel()
+/// unlinks the entry in place in O(1) and `pending_events()` is exact —
+/// there is no tombstone set. The pre-change binary-heap queue
 /// is retained as an ablation (`QueueImpl::heap`, or environment
 /// variable `VMIC_SIM_QUEUE=heap`) so benches can measure the swap and
 /// differential tests can pit the two implementations against each
@@ -140,6 +143,10 @@ class SimEnv {
     std::uint32_t next = kNil;
     std::uint32_t bucket = 0;
     bool live = false;
+    /// Fire order: by time, then by schedule sequence.
+    bool operator<(const Entry& o) const noexcept {
+      return time != o.time ? time < o.time : seq < o.seq;
+    }
   };
 
   struct Bucket {
@@ -195,6 +202,11 @@ class SimEnv {
   void link_sorted(std::uint32_t idx);
   void unlink(std::uint32_t idx);
   void release(std::uint32_t idx);
+  /// Point the year scan at the bucket and window holding time `t`.
+  void set_cursor(SimTime t) noexcept;
+  /// First occupied bucket at or after `b` in ring order (wrapping); the
+  /// wheel must hold at least one entry.
+  [[nodiscard]] std::uint32_t next_occupied(std::uint32_t b) const noexcept;
   /// Advance the year scan to the next dequeueable entry; kNil if empty.
   std::uint32_t find_min();
   void rebuild(std::uint32_t new_buckets);
@@ -208,6 +220,8 @@ class SimEnv {
   // Calendar queue state.
   util::SlotPool<Entry> pool_;
   std::vector<Bucket> buckets_;
+  /// Bit b of word b / 64 is set while bucket b holds an entry.
+  std::vector<std::uint64_t> occupied_;
   SimTime width_ = 1024;        ///< bucket time width (ns)
   std::uint64_t mask_ = 0;      ///< nbuckets - 1 (nbuckets power of two)
   std::uint32_t nbuckets_ = 0;

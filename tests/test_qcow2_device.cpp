@@ -508,6 +508,12 @@ void poke_be64(SparseBuffer& b, std::uint64_t off, std::uint64_t v) {
   b.write(off, be);
 }
 
+std::uint64_t peek_be64(const SparseBuffer& b, std::uint64_t off) {
+  std::uint8_t be[8];
+  b.read(off, be);
+  return load_be64(be);
+}
+
 TEST(Qcow2CraftedHeader, OversizedL1TableRefused) {
   constexpr std::uint32_t kLimit = kMaxL1Bytes / 8;  // entries
   for (const std::uint32_t l1 : {0xFFFFFFFFu, kLimit + 1}) {
@@ -525,8 +531,11 @@ TEST(Qcow2CraftedHeader, OversizedRefcountTableRefused) {
         << rt;
   }
   // At the limit the table is loaded (the bytes past the real table read
-  // as unused entries).
-  EXPECT_EQ(open_crafted([&](SparseBuffer& b) { poke_be32(b, 56, kLimit); }),
+  // as unused entries) once the file is long enough to hold it.
+  EXPECT_EQ(open_crafted([&](SparseBuffer& b) {
+              poke_be32(b, 56, kLimit);
+              b.resize(peek_be64(b, 48) + kMaxRefcountTableBytes);
+            }),
             Errc::ok);
 }
 
@@ -540,6 +549,53 @@ TEST(Qcow2CraftedHeader, L1TableMustCoverVirtualSize) {
       Errc::corrupt);
   EXPECT_EQ(open_crafted([](SparseBuffer& b) { poke_be32(b, 36, 0); }),
             Errc::corrupt);
+}
+
+// The L1 table (offset field 40, u32 entry count at 36) and the refcount
+// table (offset field 48, u32 cluster count at 56) must lie inside the
+// file; a table ending exactly at end of file is fine.
+
+TEST(Qcow2CraftedHeader, L1TablePastEndOfFileRefused) {
+  // Sets the entry count to what the file holds after the table, plus
+  // `extra`.
+  const auto l1_to_eof = [](std::int64_t extra) {
+    return [extra](SparseBuffer& b) {
+      const std::uint64_t room = b.size() - peek_be64(b, 40);
+      poke_be32(b, 36, static_cast<std::uint32_t>(
+                           static_cast<std::int64_t>(room / 8) + extra));
+    };
+  };
+  EXPECT_EQ(open_crafted(l1_to_eof(0)), Errc::ok);
+  EXPECT_EQ(open_crafted(l1_to_eof(1)), Errc::corrupt);
+  // A 32 MiB table (within the size bound) in a file of a few clusters.
+  EXPECT_EQ(
+      open_crafted([](SparseBuffer& b) { poke_be32(b, 36, kMaxL1Bytes / 8); }),
+      Errc::corrupt);
+  // Offsets past the end, including one whose end would wrap 2^64.
+  for (const std::uint64_t off : {1ull << 40, ~0ull << 16}) {
+    EXPECT_EQ(open_crafted([&](SparseBuffer& b) { poke_be64(b, 40, off); }),
+              Errc::corrupt)
+        << off;
+  }
+}
+
+TEST(Qcow2CraftedHeader, RefcountTablePastEndOfFileRefused) {
+  // Sets the cluster count (64 KiB clusters) to what the file holds
+  // after the table, plus `extra`.
+  const auto rt_to_eof = [](std::int64_t extra) {
+    return [extra](SparseBuffer& b) {
+      const std::uint64_t room = b.size() - peek_be64(b, 48);
+      poke_be32(b, 56, static_cast<std::uint32_t>(
+                           static_cast<std::int64_t>(room / 64_KiB) + extra));
+    };
+  };
+  EXPECT_EQ(open_crafted(rt_to_eof(0)), Errc::ok);
+  EXPECT_EQ(open_crafted(rt_to_eof(1)), Errc::corrupt);
+  for (const std::uint64_t off : {1ull << 40, ~0ull << 16}) {
+    EXPECT_EQ(open_crafted([&](SparseBuffer& b) { poke_be64(b, 48, off); }),
+              Errc::corrupt)
+        << off;
+  }
 }
 
 TEST(Qcow2CraftedHeader, JournalRegionPastEndOfFileRefused) {

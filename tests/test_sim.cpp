@@ -4,7 +4,9 @@
 // to the reference semantics (the contract every golden pin depends on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -556,6 +558,186 @@ TEST(SchedulerDifferential, AdversarialSameTimestampBurst) {
     ASSERT_EQ(order.size(), 500u);
     for (int i = 0; i < 500; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
+}
+
+/// Re-arming timer chains over a capped live population: each fired event
+/// re-arms its chain between 0 ns and 2 ms ahead, and may add a same-tick
+/// pair, a far-future timer (seconds to hours ahead) or a cancel — of the
+/// current minimum, of a calendar bucket's head, or of any pending timer.
+/// The script tracks what it has pending, so it never lets more than
+/// `max_live` events be live and it can aim its cancels.
+class ChainScript {
+ public:
+  ChainScript(std::uint64_t seed, std::size_t chains, std::size_t max_live)
+      : seed_(seed), chains_(chains), max_live_(max_live) {}
+
+  std::vector<int> drive(SchedUnderTest& s) {
+    fired_.clear();
+    pending_.clear();
+    next_tag_ = 0;
+    std::mt19937_64 rng(seed_);
+    for (std::size_t i = 0; i < chains_; ++i) arm(s, chain_gap(rng));
+    for (std::size_t i = 0; i < chains_ / 4; ++i) arm(s, far_gap(rng));
+    s.run();
+    return fired_;
+  }
+
+  void on_fire(SchedUnderTest& s, int tag) {
+    fired_.push_back(tag);
+    pending_.erase(tag);
+    if (next_tag_ >= kTags) return;  // chains end; the far timers drain
+    std::mt19937_64 rng(seed_ ^ (0x9e3779b97f4a7c15ull *
+                                 static_cast<std::uint64_t>(tag + 1)));
+    arm(s, s.now() + chain_gap(rng));
+    // Pairs outnumber cancels, so the population grows to its cap rather
+    // than dying out.
+    switch (rng() % 12) {
+      case 0:
+      case 1: {
+        const SimTime t = s.now() + chain_gap(rng);
+        arm(s, t);
+        arm(s, t);
+        break;
+      }
+      case 2:
+        // Far timers only while there is room, so they cannot crowd out
+        // the chains.
+        if (pending_.size() < max_live_ / 2) arm(s, s.now() + far_gap(rng));
+        break;
+      case 3:
+        if (!pending_.empty()) cancel(s, earliest(0, 0));
+        break;
+      case 4:
+        if (!pending_.empty()) {
+          // The head of a random pending timer's bucket at the calendar's
+          // initial 1,024 ns width over 64 buckets.
+          cancel(s, earliest(random_pending(rng)->second, kInitialBucketNs));
+        }
+        break;
+      case 5:
+        if (!pending_.empty()) cancel(s, random_pending(rng)->first);
+        break;
+      default:
+        break;
+    }
+  }
+
+ private:
+  static constexpr int kTags = 3000;
+  static constexpr SimTime kInitialBucketNs = 1024;
+
+  /// Bimodal: mostly nanoseconds to microseconds apart (zero included,
+  /// which lands in the same tick), sometimes up to 2 ms.
+  static SimTime chain_gap(std::mt19937_64& rng) {
+    return rng() % 4 == 0 ? static_cast<SimTime>(rng() % 2'000'000)
+                          : static_cast<SimTime>(rng() % 2'000);
+  }
+  static SimTime far_gap(std::mt19937_64& rng) {
+    return static_cast<SimTime>(1'000'000'000ull +
+                                rng() % 14'400'000'000'000ull);
+  }
+
+  void arm(SchedUnderTest& s, SimTime t) {
+    if (pending_.size() >= max_live_) return;
+    const int tag = next_tag_++;
+    s.schedule(t, tag);
+    pending_.emplace(tag, t);
+  }
+
+  std::map<int, SimTime>::const_iterator random_pending(
+      std::mt19937_64& rng) const {
+    return std::next(pending_.begin(),
+                     static_cast<long>(rng() % pending_.size()));
+  }
+
+  void cancel(SchedUnderTest& s, int tag) {
+    s.cancel(tag);
+    pending_.erase(tag);
+  }
+
+  /// The earliest pending timer, by (time, schedule order), among those
+  /// sharing `like`'s bucket when `bucket_ns` is set (times congruent
+  /// modulo 64 buckets of that width), else among all of them.
+  [[nodiscard]] int earliest(SimTime like, SimTime bucket_ns) const {
+    int best = -1;
+    SimTime best_t = 0;
+    for (const auto& [tag, t] : pending_) {
+      if (bucket_ns > 0 && (t / bucket_ns) % 64 != (like / bucket_ns) % 64) {
+        continue;
+      }
+      if (best < 0 || t < best_t) {  // map order is schedule order
+        best = tag;
+        best_t = t;
+      }
+    }
+    return best;
+  }
+
+  std::uint64_t seed_;
+  std::size_t chains_;
+  std::size_t max_live_;
+  std::vector<int> fired_;
+  std::map<int, SimTime> pending_;  ///< tag -> time, schedule order
+  int next_tag_ = 0;
+};
+
+/// Runs `script` under the reference and both SimEnv queues; every fire
+/// order must match the reference's.
+void expect_chain_script_matches(std::uint64_t seed, std::size_t chains,
+                                 std::size_t max_live) {
+  ChainScript script(seed, chains, max_live);
+  RefSched ref([&script](RefSched& s, int tag) { script.on_fire(s, tag); });
+  const auto want = script.drive(ref);
+  ASSERT_GT(want.size(), 500u) << "seed " << seed << ": degenerate script";
+  for (auto impl : {SimEnv::QueueImpl::calendar, SimEnv::QueueImpl::heap}) {
+    EnvSched env(impl,
+                 [&script](EnvSched& s, int tag) { script.on_fire(s, tag); });
+    EXPECT_EQ(script.drive(env), want)
+        << (impl == SimEnv::QueueImpl::calendar ? "calendar" : "heap")
+        << " diverged from reference, seed " << seed;
+  }
+}
+
+TEST(SchedulerDifferential, SparsePopulationMatchesReferenceAcrossSeeds) {
+  // At most 64 live events: the wheel grows only past 128, so it never
+  // resizes and runs at its initial 1,024 ns width over 64 buckets (a
+  // 65.5 us year) while the chains skip milliseconds and the far timers
+  // hours. Most pops therefore scan a lap of mostly empty buckets, and
+  // many find nothing inside the current year.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    expect_chain_script_matches(seed, /*chains=*/8, /*max_live=*/64);
+  }
+}
+
+TEST(SchedulerDifferential, WideWheelScanWrapsAcrossWords) {
+  // Several hundred live events grow the wheel to hundreds of buckets, so
+  // the occupancy bitmap spans several words and the scan wraps from the
+  // last word back to the first, including into the low bits of the word
+  // it started in.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_chain_script_matches(seed, /*chains=*/300, /*max_live=*/600);
+  }
+}
+
+TEST(SchedulerProperty, WideWheelScanReachesStartWordLowBits) {
+  // 200 events 1 us apart grow the wheel to 256 buckets (four bitmap
+  // words) of 4 us (four times the mean gap), a 1.024 ms year; they fill
+  // buckets 0-49. 40 more land a year and 64 buckets later, in buckets
+  // 64-73. Once the first 200 have fired, the scan starts in word 0, finds
+  // nothing inside the year in word 1, runs on from bucket 74 through
+  // words 2, 3 and 0 and must come back to the low bits of word 1 to find
+  // the minimum. 40 live events keep the wheel from shrinking.
+  SimEnv env(SimEnv::QueueImpl::calendar);
+  std::vector<SimTime> want;
+  std::vector<SimTime> got;
+  auto at = [&](SimTime t) {
+    want.push_back(t);
+    env.call_at(t, [&got, &env] { got.push_back(env.now()); });
+  };
+  for (SimTime i = 0; i < 200; ++i) at(i * 1'000);
+  for (SimTime i = 0; i < 40; ++i) at(1'024'000 + 256'000 + i * 1'000);
+  env.run();
+  EXPECT_EQ(got, want);
 }
 
 // --------------------------------------------------------------------------

@@ -65,6 +65,16 @@ RC=0; "$VMI_IMG" info bigl1.qcow2 >/dev/null 2>err.txt || RC=$?
 [ "$RC" -eq 1 ] || { echo "expected exit 1, got $RC"; exit 1; }
 grep -q unsupported err.txt
 
+echo "--- L1 table running past the end of the file -> info exits 1, corrupt"
+# 4 Mi entries (32 MiB, within the L1 size bound) at 0x30000 in a file
+# of a few clusters.
+cp scratch.qcow2 eofl1.qcow2
+printf '\000\100\000\000' \
+  | dd of=eofl1.qcow2 bs=1 seek=36 conv=notrunc 2>/dev/null
+RC=0; "$VMI_IMG" info eofl1.qcow2 >/dev/null 2>err.txt || RC=$?
+[ "$RC" -eq 1 ] || { echo "expected exit 1, got $RC"; exit 1; }
+grep -q corrupt err.txt
+
 echo "--- check --repair clears the bad pointer and exits 0"
 "$VMI_IMG" check corrupt.qcow2 --repair | grep -q "1 entries cleared"
 "$VMI_IMG" check corrupt.qcow2
