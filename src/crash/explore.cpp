@@ -126,6 +126,27 @@ Result<void> create_two_file(SparseBuffer& cache_disk,
   return sim::sync_wait(qcow2::Qcow2Device::create(direct, copt));
 }
 
+/// Base image content: splitmix noise. In cor_compress mode three
+/// clusters in four become runs of 64 equal bytes, which the codec
+/// shrinks; every fourth stays noise and is stored plain.
+SparseBuffer make_base(const ExploreConfig& cfg) {
+  SparseBuffer base;
+  std::vector<std::uint8_t> tmp(64 * 1024);
+  std::uint64_t sm = cfg.seed ^ 0xba5eba11ull;
+  for (std::uint64_t off = 0; off < cfg.image_size; off += tmp.size()) {
+    for (auto& b : tmp) b = static_cast<std::uint8_t>(splitmix64(sm));
+    if (cfg.cor_compress) {
+      for (std::size_t i = 0; i < tmp.size(); ++i) {
+        if (((off + i) >> cfg.cluster_bits) % 4 != 3) {
+          tmp[i] = tmp[i & ~std::size_t{63}];
+        }
+      }
+    }
+    base.write(off, tmp);
+  }
+  return base;
+}
+
 sim::Task<Result<block::DevicePtr>> open_base(SparseBuffer* buf,
                                               std::uint64_t size) {
   co_return block::RawDevice::open(
@@ -145,7 +166,11 @@ Result<block::DevicePtr> open_image(io::BackendPtr file,
       return open_base(base, size);
     };
   }
-  return sim::sync_wait(qcow2::Qcow2Device::open(std::move(file), opt));
+  auto dev = sim::sync_wait(qcow2::Qcow2Device::open(std::move(file), opt));
+  if (dev.ok() && cfg.cor_chain && cfg.cor_compress) {
+    static_cast<qcow2::Qcow2Device*>(dev->get())->set_cor_compress(true);
+  }
+  return dev;
 }
 
 /// Middle link of the two-file chain (everything by value: the coroutine
@@ -302,14 +327,7 @@ ExploreReport explore(const ExploreConfig& cfg) {
   const std::vector<GuestOp> ops = make_ops(cfg);
 
   SparseBuffer base;
-  if (cfg.cor_chain) {
-    std::vector<std::uint8_t> tmp(64 * 1024);
-    std::uint64_t sm = cfg.seed ^ 0xba5eba11ull;
-    for (std::uint64_t off = 0; off < cfg.image_size; off += tmp.size()) {
-      for (auto& b : tmp) b = static_cast<std::uint8_t>(splitmix64(sm));
-      base.write(off, tmp);
-    }
-  }
+  if (cfg.cor_chain) base = make_base(cfg);
   SparseBuffer* base_p = cfg.cor_chain ? &base : nullptr;
 
   // Recording run: never cut, count the backend events the workload
@@ -536,15 +554,7 @@ ExploreReport explore_two_file(const ExploreConfig& cfg) {
   rep.leaks_allowed = cfg.journal_sectors > 0;
   const std::vector<GuestOp> ops = make_ops(cfg);
 
-  SparseBuffer base;
-  {
-    std::vector<std::uint8_t> tmp(64 * 1024);
-    std::uint64_t sm = cfg.seed ^ 0xba5eba11ull;
-    for (std::uint64_t off = 0; off < cfg.image_size; off += tmp.size()) {
-      for (auto& b : tmp) b = static_cast<std::uint8_t>(splitmix64(sm));
-      base.write(off, tmp);
-    }
-  }
+  SparseBuffer base = make_base(cfg);
 
   // Recording run across the shared event clock.
   {
@@ -728,6 +738,7 @@ std::string to_json(const ExploreReport& r, const ExploreConfig& cfg) {
   field("guest_ops", static_cast<std::uint64_t>(cfg.guest_ops));
   field("lazy_refcounts", cfg.lazy_refcounts ? 1 : 0);
   field("cor_chain", cfg.cor_chain ? 1 : 0);
+  if (cfg.cor_compress) field("cor_compress", 1);
   field("journal_sectors", cfg.journal_sectors);
   field("crash_during_repair", cfg.crash_during_repair ? 1 : 0);
   field("two_file", cfg.two_file ? 1 : 0);

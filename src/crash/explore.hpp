@@ -24,6 +24,11 @@ struct ExploreConfig {
   /// image: the workload is guest reads through a warming cache, and the
   /// invariant is a clean cache whose contents still match the base.
   bool cor_chain = false;
+  /// With cor_chain: store the cache's fills as compressed clusters, over
+  /// a base whose clusters mix compressible runs with noise, so the sweep
+  /// cuts inside runs that hold both compressed payloads and plain
+  /// clusters.
+  bool cor_compress = false;
   /// Cap on crash points explored (sampled evenly); 0 = every event of
   /// the recording run, i.e. every flush boundary and every point in
   /// between (intra-write states are covered by sector tearing).

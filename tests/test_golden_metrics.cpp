@@ -19,6 +19,7 @@
 #include "cloud/engine.hpp"
 #include "cluster/scenario.hpp"
 #include "crash/explore.hpp"
+#include "io/mem_store.hpp"
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
 #include "sim/env.hpp"
@@ -423,6 +424,179 @@ TEST(GoldenMetrics, JournalExplorePinnedValues) {
   EXPECT_EQ(m.counter_total("qcow2.journal.checkpoints"), 23u);
   EXPECT_EQ(m.counter_total("qcow2.journal.entries_replayed"), 22u);
   EXPECT_EQ(r.digest, 670551284262492835ull);
+}
+
+// Copy-on-read sweeps, plain and compressed. total_events counts every
+// mutating backend call of the uncut recording run, so it fixes the
+// cluster-store path's write and flush sequence; the digest fixes what
+// every cut left behind. The compressed sweep's base mixes compressible
+// clusters with noise, so its runs hold packed payloads and plain
+// clusters, and a cut between a packing cluster's incref and the L2
+// publish must leave only an over-count, which repair drops.
+
+struct CorSweepPins {
+  std::uint64_t total_events, pre_repair_leaks, digest;
+  std::uint64_t compressed, fallbacks;
+};
+
+void expect_cor_sweep_pins(bool compress, const CorSweepPins& p) {
+  obs::Hub hub;
+  crash::ExploreConfig cfg;
+  cfg.seed = 3;
+  cfg.guest_ops = 24;
+  cfg.cor_chain = true;
+  cfg.cor_compress = compress;
+  cfg.max_crash_points = 24;
+  cfg.hub = &hub;
+  const crash::ExploreReport r = crash::explore(cfg);
+  ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
+
+  EXPECT_EQ(r.total_events, p.total_events);
+  EXPECT_EQ(r.crash_points, 24u);
+  EXPECT_EQ(r.pre_repair_leaks, p.pre_repair_leaks);
+  EXPECT_EQ(r.leaks_dropped, p.pre_repair_leaks);
+  EXPECT_EQ(r.post_repair_leaks, 0u);
+  EXPECT_EQ(r.digest, p.digest);
+  const auto m = hub.registry.snapshot();
+  EXPECT_EQ(m.counter_total("qcow2.compressed.clusters"), p.compressed);
+  EXPECT_EQ(m.counter_total("qcow2.compressed.fallbacks"), p.fallbacks);
+}
+
+TEST(GoldenMetrics, CorChainExplorePinnedValues) {
+  expect_cor_sweep_pins(false, {94u, 3u, 3352614766863323324ull, 0u, 0u});
+}
+
+TEST(GoldenMetrics, CompressedCorChainExplorePinnedValues) {
+  expect_cor_sweep_pins(true, {117u, 18u, 8791998288500834709ull, 4638u, 1546u});
+}
+
+// Quota-edge pins: a cache filled past its quota by a fixed script of
+// unaligned multi-cluster reads. Near the edge a plain fill drops to one
+// cluster per store (its own write, flush and publish) until a cluster no
+// longer fits; a compressed run stops at its first failed placement and
+// still publishes what it placed. The cache file's pwrite and flush
+// counts fix both sequences.
+
+/// Counts the mutating calls that reach one file.
+class CountingBackend final : public io::BlockBackend {
+ public:
+  CountingBackend(io::BackendPtr inner, std::uint64_t* pwrites,
+                  std::uint64_t* flushes)
+      : inner_(std::move(inner)), pwrites_(pwrites), flushes_(flushes) {}
+
+  sim::Task<Result<void>> pread(std::uint64_t off,
+                                std::span<std::uint8_t> dst) override {
+    co_return co_await inner_->pread(off, dst);
+  }
+  sim::Task<Result<void>> pwrite(std::uint64_t off,
+                                 std::span<const std::uint8_t> src) override {
+    ++*pwrites_;
+    co_return co_await inner_->pwrite(off, src);
+  }
+  sim::Task<Result<void>> flush() override {
+    ++*flushes_;
+    co_return co_await inner_->flush();
+  }
+  sim::Task<Result<void>> truncate(std::uint64_t s) override {
+    co_return co_await inner_->truncate(s);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_->size(); }
+  [[nodiscard]] std::string describe() const override { return "counting"; }
+
+ private:
+  io::BackendPtr inner_;
+  std::uint64_t* pwrites_;
+  std::uint64_t* flushes_;
+};
+
+/// Wraps the cache file of a MemImageStore chain in a CountingBackend.
+class CountingStore final : public io::ImageDirectory {
+ public:
+  explicit CountingStore(io::MemImageStore& inner) : inner_(inner) {}
+
+  std::uint64_t pwrites = 0;
+  std::uint64_t flushes = 0;
+
+  Result<io::BackendPtr> open_file(const std::string& name,
+                                   bool writable) override {
+    VMIC_TRY(be, inner_.open_file(name, writable));
+    if (name != "vmi.cache") return io::BackendPtr{std::move(be)};
+    return io::BackendPtr{
+        std::make_unique<CountingBackend>(std::move(be), &pwrites, &flushes)};
+  }
+  Result<io::BackendPtr> create_file(const std::string& name) override {
+    return inner_.create_file(name);
+  }
+  [[nodiscard]] bool exists(const std::string& name) const override {
+    return inner_.exists(name);
+  }
+
+ private:
+  io::MemImageStore& inner_;
+};
+
+struct QuotaEdgePins {
+  std::uint64_t pwrites, flushes, file_bytes, cor_clusters;
+};
+
+void expect_quota_edge_pins(bool compress, const QuotaEdgePins& p) {
+  constexpr std::uint64_t kSize = 2_MiB;
+  io::MemImageStore mem;
+  // Base: three 4 KiB clusters in four are 64-byte runs of one byte value
+  // (compressible), every fourth is noise.
+  std::vector<std::uint8_t> base(kSize);
+  Rng rng{0x0b07a};
+  for (std::uint64_t i = 0; i < kSize; ++i) {
+    base[i] = (i >> 12) % 4 != 3 && i % 64 != 0
+                  ? base[i - 1]
+                  : static_cast<std::uint8_t>(rng.next());
+  }
+  {
+    auto be = mem.create_file("base.img");
+    ASSERT_TRUE(be.ok());
+    ASSERT_TRUE(sim::sync_wait((*be)->pwrite(0, base)).ok());
+  }
+  ASSERT_TRUE(sim::sync_wait(qcow2::create_cache_image(
+                                 mem, "vmi.cache", "base.img", 192_KiB,
+                                 {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  ASSERT_TRUE(
+      sim::sync_wait(qcow2::create_cow_image(mem, "vm.cow", "vmi.cache"))
+          .ok());
+  CountingStore store{mem};
+  auto dev = sim::sync_wait(qcow2::open_image(store, "vm.cow"));
+  ASSERT_TRUE(dev.ok());
+  auto* cache = dynamic_cast<qcow2::Qcow2Device*>((*dev)->backing());
+  ASSERT_NE(cache, nullptr);
+  if (compress) cache->set_cor_compress(true);
+
+  std::vector<std::uint8_t> buf;
+  Rng script{0x9a07a};
+  for (int i = 0; i < 96; ++i) {
+    const std::uint64_t len = 1 + script.below(32_KiB);
+    const std::uint64_t off = script.below(kSize - len);
+    buf.assign(len, 0);
+    ASSERT_TRUE(sim::sync_wait((*dev)->read(off, buf)).ok());
+    ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + off, len)) << i;
+  }
+  EXPECT_FALSE(cache->cor_active());
+  auto chk = sim::sync_wait(cache->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean());
+
+  EXPECT_EQ(store.pwrites, p.pwrites);
+  EXPECT_EQ(store.flushes, p.flushes);
+  EXPECT_EQ(cache->file_bytes(), p.file_bytes);
+  EXPECT_EQ(cache->stats().cor_clusters, p.cor_clusters);
+  EXPECT_EQ(cache->stats().cor_stopped, 1u);
+}
+
+TEST(GoldenMetrics, PlainCacheQuotaEdgePinnedValues) {
+  expect_quota_edge_pins(false, {37u, 13u, 196608u, 43u});
+}
+
+TEST(GoldenMetrics, CompressedCacheQuotaEdgePinnedValues) {
+  expect_quota_edge_pins(true, {181u, 22u, 196608u, 94u});
 }
 
 // A small crashy cloud run pins the salvage path: one node crash, whose

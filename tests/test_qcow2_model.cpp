@@ -18,13 +18,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "io/mem_store.hpp"
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
+#include "qcow2/format.hpp"
 #include "sim/task.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -226,8 +229,10 @@ TEST(Qcow2Model, WriteHeavyMix) {
 
 TEST(Qcow2Model, Compressed4KClusters) {
   // Compressed CoR fills against the flat reference: translation,
-  // payload packing, rewrite-on-write and the physical-bytes accounting
-  // all run under the same differential harness.
+  // payload packing and the physical-bytes accounting all run under the
+  // same differential harness. The guest writes land in the CoW overlay;
+  // writes over compressed clusters are covered by
+  // WritesOverCompressedClusters below.
   ASSERT_NO_FATAL_FAILURE(run_differential({.seed = 707,
                                             .cache_bits = 12,
                                             .quota = 4_MiB,
@@ -395,6 +400,205 @@ TEST(Qcow2Model, CorruptCompressedPayloadRejected) {
                              base_data.data() + n * kCluster + 512,
                              part.size()))
         << "neighbour cluster " << n;
+  }
+  ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+}
+
+/// A standalone image whose clusters are compressed payloads packed into
+/// shared host clusters, the layout `qemu-img convert -c` writes: a cache
+/// filled by compressed copy-on-read from `base_data`, whose header area
+/// is then rewritten without the cache extension and the backing name.
+/// Writes over its clusters take the guest-write path, not copy-on-read.
+void make_compressed_image(MemImageStore& store, const std::string& name,
+                           const std::vector<std::uint8_t>& base_data) {
+  auto base = store.create_file("base.img");
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(sync_wait((*base)->pwrite(0, base_data)).ok());
+  ASSERT_TRUE(sync_wait(create_cache_image(
+                  store, name, "base.img", 8_MiB,
+                  {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  {
+    auto dev = sync_wait(open_image(store, name));
+    ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+    auto* cache = dynamic_cast<Qcow2Device*>(dev->get());
+    ASSERT_NE(cache, nullptr);
+    cache->set_cor_compress(true);
+    std::vector<std::uint8_t> buf(base_data.size(), 0);
+    ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());
+    ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+  }
+  SparseBuffer* file = *store.buffer(name);
+  std::vector<std::uint8_t> area(4_KiB);
+  file->read(0, area);
+  auto parsed = parse_header_area(area);
+  ASSERT_TRUE(parsed.ok());
+  Header h = parsed->h;
+  h.backing_file_offset = 0;
+  h.backing_file_size = 0;
+  std::fill(area.begin(), area.end(), std::uint8_t{0});
+  write_header_area(h, std::nullopt, std::nullopt, "", area);
+  file->write(0, area);
+  store.remove("base.img");
+}
+
+/// Raw on-disk L2 entries of the image's first L2 table.
+std::vector<std::uint64_t> first_l2_table(MemImageStore& store,
+                                          const std::string& name) {
+  SparseBuffer* file = *store.buffer(name);
+  std::uint8_t hdr[kHeaderLength];
+  file->read(0, hdr);
+  std::uint8_t l1e[8];
+  file->read(load_be64(hdr + 40), l1e);
+  std::vector<std::uint8_t> raw(4_KiB);
+  file->read(load_be64(l1e) & kOffsetMask, raw);
+  std::vector<std::uint64_t> out(raw.size() / 8);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = load_be64(raw.data() + i * 8);
+  }
+  return out;
+}
+
+/// On-disk refcount of host cluster `idx` (4 KiB clusters).
+std::uint16_t refcount_of(MemImageStore& store, const std::string& name,
+                          std::uint64_t idx) {
+  SparseBuffer* file = *store.buffer(name);
+  std::uint8_t hdr[kHeaderLength];
+  file->read(0, hdr);
+  const Layout ly(12);
+  std::uint8_t rte[8];
+  file->read(load_be64(hdr + 48) + idx / ly.refcounts_per_block() * 8, rte);
+  std::uint8_t rc[2];
+  file->read((load_be64(rte) & kOffsetMask) +
+                 idx % ly.refcounts_per_block() * 2,
+             rc);
+  return load_be16(rc);
+}
+
+void expect_image_matches(block::BlockDevice& dev,
+                          const std::vector<std::uint8_t>& model,
+                          const std::string& log) {
+  std::vector<std::uint8_t> buf(model.size(), 0);
+  ASSERT_TRUE(sync_wait(dev.read(0, buf)).ok()) << log;
+  ASSERT_EQ(0, std::memcmp(buf.data(), model.data(), model.size())) << log;
+  auto chk = sync_wait(static_cast<Qcow2Device&>(dev).check());
+  ASSERT_TRUE(chk.ok()) << log;
+  ASSERT_TRUE(chk->clean()) << log << "leaked=" << chk->leaked_clusters
+                            << " corrupt=" << chk->corruptions;
+}
+
+TEST(Qcow2Model, WritesOverCompressedClusters) {
+  // Partial writes, write_zeroes and discard over a standalone image full
+  // of packed compressed clusters, against the flat reference. A write
+  // replaces a compressed cluster with a plain one (edges from the old
+  // payload); zeroing and discarding drop the reference. Without a backing
+  // image, discard deallocates whole clusters and ignores fragments.
+  constexpr std::uint64_t kSize = 1_MiB;
+  constexpr std::uint64_t kCluster = 4_KiB;
+  MemImageStore store;
+  const auto base_data = mixed_bytes(1111, kSize);
+  ASSERT_NO_FATAL_FAILURE(make_compressed_image(store, "img", base_data));
+  auto dev = sync_wait(open_image(store, "img"));
+  ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+  auto* q = dynamic_cast<Qcow2Device*>(dev->get());
+  ASSERT_NE(q, nullptr);
+  ASSERT_FALSE(q->is_cache_image());
+  auto before = sync_wait(q->check());
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(before->compressed_clusters, kSize / kCluster / 2);
+
+  std::vector<std::uint8_t> model = base_data;
+  ASSERT_NO_FATAL_FAILURE(expect_image_matches(**dev, model, "initial"));
+  Rng rng{1111};
+  std::string log;
+  for (int i = 0; i < 60; ++i) {
+    const std::uint64_t off = rng.below(kSize - 1);
+    const std::uint64_t len = 1 + rng.below(std::min<std::uint64_t>(
+                                      kSize - off, 3 * kCluster));
+    const std::uint64_t kind = rng.below(3);
+    log += "op " + std::to_string(i) + " kind=" + std::to_string(kind) +
+           " off=" + std::to_string(off) + " len=" + std::to_string(len) +
+           "\n";
+    if (kind == 0) {
+      const auto data = pattern_bytes(rng.next(), len);
+      ASSERT_TRUE(sync_wait((*dev)->write(off, data)).ok()) << log;
+      std::memcpy(model.data() + off, data.data(), len);
+    } else if (kind == 1) {
+      ASSERT_TRUE(sync_wait(q->write_zeroes(off, len)).ok()) << log;
+      std::memset(model.data() + off, 0, len);
+    } else {
+      ASSERT_TRUE(sync_wait(q->discard(off, len)).ok()) << log;
+      const std::uint64_t lo = (off + kCluster - 1) / kCluster * kCluster;
+      const std::uint64_t hi = (off + len) / kCluster * kCluster;
+      if (hi > lo) std::memset(model.data() + lo, 0, hi - lo);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_image_matches(**dev, model, log));
+  }
+  auto after = sync_wait(q->check());
+  ASSERT_TRUE(after.ok());
+  EXPECT_LT(after->compressed_clusters, before->compressed_clusters);
+  ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+
+  // The result survives a reopen.
+  auto again = sync_wait(open_image(store, "img"));
+  ASSERT_TRUE(again.ok());
+  ASSERT_NO_FATAL_FAILURE(expect_image_matches(**again, model, "reopened"));
+}
+
+TEST(Qcow2Model, SharedPackingClusterFreedByLastSharer) {
+  // Find the host cluster that packs the most compressed payloads, then make
+  // its sharers leave one at a time — a partial write, a whole-cluster
+  // write_zeroes, a discard, in turn. The host cluster's refcount must
+  // count the sharers left, and drop to zero only when the last leaves.
+  constexpr std::uint64_t kSize = 1_MiB;
+  constexpr std::uint64_t kCluster = 4_KiB;
+  MemImageStore store;
+  const auto base_data = mixed_bytes(2222, kSize);
+  ASSERT_NO_FATAL_FAILURE(make_compressed_image(store, "img", base_data));
+
+  const Layout ly(12);
+  const auto l2 = first_l2_table(store, "img");
+  std::map<std::uint64_t, std::vector<std::uint64_t>> sharers;
+  for (std::uint64_t i = 0; i < kSize / kCluster; ++i) {
+    if ((l2[i] & kFlagCompressed) == 0) continue;
+    sharers[ly.decode_compressed(l2[i]).offset / kCluster].push_back(i);
+  }
+  std::uint64_t host = 0;
+  std::vector<std::uint64_t> guests;
+  for (const auto& [h, g] : sharers) {
+    if (g.size() > guests.size()) {
+      host = h;
+      guests = g;
+    }
+  }
+  ASSERT_GE(guests.size(), 3u) << "no host cluster packs three payloads";
+  ASSERT_EQ(refcount_of(store, "img", host), guests.size());
+
+  auto dev = sync_wait(open_image(store, "img"));
+  ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+  auto* q = dynamic_cast<Qcow2Device*>(dev->get());
+  std::vector<std::uint8_t> model = base_data;
+  for (std::size_t k = 0; k < guests.size(); ++k) {
+    const std::uint64_t at = guests[k] * kCluster;
+    const std::string log = "sharer " + std::to_string(k);
+    switch (k % 3) {
+      case 0: {
+        const auto data = pattern_bytes(k, 1000);
+        ASSERT_TRUE(sync_wait(q->write(at + 700, data)).ok()) << log;
+        std::memcpy(model.data() + at + 700, data.data(), data.size());
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(sync_wait(q->write_zeroes(at, kCluster)).ok()) << log;
+        std::memset(model.data() + at, 0, kCluster);
+        break;
+      default:
+        ASSERT_TRUE(sync_wait(q->discard(at, kCluster)).ok()) << log;
+        std::memset(model.data() + at, 0, kCluster);
+        break;
+    }
+    EXPECT_EQ(refcount_of(store, "img", host), guests.size() - k - 1) << log;
+    ASSERT_NO_FATAL_FAILURE(expect_image_matches(**dev, model, log));
   }
   ASSERT_TRUE(sync_wait((*dev)->close()).ok());
 }

@@ -7,14 +7,16 @@
 //
 //   vmi-crashsim [--seed N] [--ops N] [--points N] [--cluster-bits N]
 //                [--image-size SZ] [--journal-sectors N]
-//                [--mode eager|lazy|cor|journal|repair|twofile|all]
+//                [--mode eager|lazy|cor|journal|repair|twofile|
+//                        cor-compress|all]
 //                [--json-out FILE]
 //   vmi-crashsim --child-writer FILE [--seed N] [--journal-sectors N]
 //
 // The journal mode sweeps a journaled image (O(journal) replay repair),
 // repair mode re-cuts the power at every instant *inside* the repair
-// (repair-of-repair), and twofile fells an overlay+cache pair behind one
-// shared power rail.
+// (repair-of-repair), twofile fells an overlay+cache pair behind one
+// shared power rail, and cor-compress sweeps the copy-on-read chain with
+// compressed fills over a partly compressible base.
 //
 // --child-writer is the host-side half of the kill-9 smoke test: it
 // creates a journaled image at FILE, prints "ready" once the first
@@ -46,7 +48,8 @@ void usage() {
                "                    [--cluster-bits N] [--image-size SZ]\n"
                "                    [--journal-sectors N]\n"
                "                    [--mode eager|lazy|cor|journal|repair|"
-               "twofile|all]\n"
+               "twofile|\n"
+               "                            cor-compress|all]\n"
                "                    [--json-out FILE]\n"
                "       vmi-crashsim --child-writer FILE [--seed N]\n"
                "                    [--journal-sectors N]\n");
@@ -116,6 +119,7 @@ struct Mode {
   const char* name;
   bool lazy = false;
   bool cor = false;
+  bool compress = false;
   std::uint32_t journal_sectors = 0;
   bool crash_during_repair = false;
   bool two_file = false;
@@ -178,6 +182,8 @@ int main(int argc, char** argv) {
     modes.push_back({.name = "repair", .crash_during_repair = true});
   if (mode == "twofile" || mode == "all")
     modes.push_back({.name = "two-file", .two_file = true});
+  if (mode == "cor-compress" || mode == "all")
+    modes.push_back({.name = "cor-compress", .cor = true, .compress = true});
   if (modes.empty()) usage();
 
   std::printf("%-10s %8s %8s %10s %10s %8s %8s %12s %6s\n", "mode", "events",
@@ -189,6 +195,7 @@ int main(int argc, char** argv) {
     crash::ExploreConfig cfg = base;
     cfg.lazy_refcounts = modes[m].lazy;
     cfg.cor_chain = modes[m].cor;
+    cfg.cor_compress = modes[m].compress;
     cfg.journal_sectors = modes[m].journal_sectors;
     cfg.crash_during_repair = modes[m].crash_during_repair;
     cfg.two_file = modes[m].two_file;
