@@ -347,8 +347,7 @@ class Qcow2Device final : public block::BlockDevice {
 
   /// Release a contiguous run of clusters (refcounts to zero) — used when
   /// data clusters are replaced by a zero flag or deallocated. One ranged
-  /// refcount write per run: a per-cluster loop of awaits can exhaust the
-  /// native stack when symmetric transfer is not a tail call (sanitizers).
+  /// refcount write per run.
   sim::Task<Result<void>> free_clusters(std::uint64_t host_off,
                                         std::uint64_t count, RefHint hint);
   /// Set raw L2 entry values for `count` clusters from `vaddr` (no

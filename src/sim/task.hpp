@@ -20,7 +20,13 @@ namespace vmic::sim {
 /// Semantics:
 ///  * lazy start — the body runs only when the task is awaited (or spawned
 ///    onto a SimEnv / driven by sync_wait);
-///  * symmetric transfer — completion resumes the awaiter directly;
+///  * bounded stack — awaiting runs the child from await_suspend; a child
+///    that finishes without suspending hands control back there, and the
+///    awaiter carries on in its own frame. Only a child that really
+///    suspended resumes its awaiter, by symmetric transfer. A loop of
+///    synchronously completing awaits therefore nests no frames even where
+///    the compiler does not make symmetric transfer a tail call (GCC
+///    under ASan or at -O0);
 ///  * single consumer — a Task may be awaited at most once.
 template <typename T>
 class [[nodiscard]] Task;
@@ -39,6 +45,9 @@ struct TaskPromiseBase {
     util::FramePool::deallocate(p, n);
   }
 
+  /// Whom completion resumes: the awaiter once the task has suspended;
+  /// until then a no-op, so a task that finishes inline returns to
+  /// whoever resumed it (Task::await_suspend, spawn, sync_wait).
   std::coroutine_handle<> continuation = std::noop_coroutine();
   std::exception_ptr exception;
 
@@ -89,10 +98,13 @@ class [[nodiscard]] Task {
 
   // --- awaiter interface -------------------------------------------------
   bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(
-      std::coroutine_handle<> awaiter) noexcept {
+  /// Runs the child here. False (carry on without suspending) when it
+  /// finished inline; otherwise it resumes `awaiter` when it completes.
+  bool await_suspend(std::coroutine_handle<> awaiter) noexcept {
+    h_.resume();
+    if (h_.done()) return false;
     h_.promise().continuation = awaiter;
-    return h_;  // start the child coroutine
+    return true;
   }
   T await_resume() {
     auto& p = h_.promise();
@@ -136,10 +148,11 @@ class [[nodiscard]] Task<void> {
   }
 
   bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(
-      std::coroutine_handle<> awaiter) noexcept {
+  bool await_suspend(std::coroutine_handle<> awaiter) noexcept {
+    h_.resume();
+    if (h_.done()) return false;
     h_.promise().continuation = awaiter;
-    return h_;
+    return true;
   }
   void await_resume() {
     auto& p = h_.promise();

@@ -104,6 +104,39 @@ TEST(Task, SyncWaitOnImmediateTask) {
   EXPECT_EQ(sync_wait(return_42()), 42);
 }
 
+Task<int> one_more(int x) { co_return x + 1; }
+
+Task<int> count_inline(int n) {
+  int x = 0;
+  for (int i = 0; i < n; ++i) x = co_await one_more(x);
+  co_return x;
+}
+
+TEST(Task, MillionInlineAwaitsRunInBoundedStack) {
+  // Each await completes without suspending. Were each one to nest a
+  // frame (symmetric transfer without a tail call), a million of them
+  // would overflow an 8 MiB stack under the sanitizers or at -O0.
+  EXPECT_EQ(sync_wait(count_inline(1'000'000)), 1'000'000);
+  SimEnv env;
+  EXPECT_EQ(run_sync(env, count_inline(1'000'000)), 1'000'000);
+}
+
+Task<int> delayed_sum(SimEnv& env, int n) {
+  // Mixes inline completions with real suspensions in one loop.
+  int x = 0;
+  for (int i = 0; i < n; ++i) {
+    x = co_await one_more(x);
+    if (i % 1000 == 0) x = co_await add_after_delay(env, x, 0);
+  }
+  co_return x;
+}
+
+TEST(Task, InlineAndSuspendingAwaitsInterleave) {
+  SimEnv env;
+  EXPECT_EQ(run_sync(env, delayed_sum(env, 100'000)), 100'000);
+  EXPECT_EQ(env.now(), 100 * 100);
+}
+
 Task<void> append_after(SimEnv& env, std::vector<int>& log, SimTime t, int v) {
   co_await env.delay(t);
   log.push_back(v);
