@@ -245,8 +245,7 @@ void BM_Qcow2_CompressedRead(benchmark::State& state) {
     dev = std::move(d);
     auto* cache = dynamic_cast<qcow2::Qcow2Device*>(dev->backing());
     if (cache == nullptr) co_return Errc::corrupt;
-    cache->set_cor_compress(true);
-    co_return ok_result();
+    co_return cache->set_cor_compress(true);
   };
   bool ok = sync_wait(setup()).ok();
   // Warm every cluster in one read.

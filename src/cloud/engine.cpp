@@ -22,6 +22,7 @@
 #include "qcow2/chain.hpp"
 #include "sim/sync.hpp"
 #include "util/bytes.hpp"
+#include "util/log.hpp"
 #include "util/stats.hpp"
 
 namespace vmic::cloud {
@@ -747,6 +748,15 @@ class Engine {
 
   // --- peer cache tier -------------------------------------------------------
 
+  /// Store a cache's fills compressed when configured. Engine caches
+  /// carry no refcount journal, the one kind that refuses; a refusal
+  /// would leave the cache uncompressed, so it is logged.
+  void enable_compression(qcow2::Qcow2Device& q, VKey vk) {
+    if (cfg_.cache_compress && !q.set_cor_compress(true).ok()) {
+      VMIC_LOG_WARN("cache %s refused compression", img_name(vk).c_str());
+    }
+  }
+
   /// Hook a freshly-opened deployment chain into the peer and dedup
   /// tiers. The CoW overlay's backing device is this node's cache image:
   /// enable compression, register it as a peer seed / index its content,
@@ -757,7 +767,7 @@ class Engine {
   sim::Task<void> attach_tiers(int ni, VKey vk, block::BlockDevice* dev) {
     auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->backing());
     if (q == nullptr || !q->is_cache_image()) co_return;
-    if (cfg_.cache_compress) q->set_cor_compress(true);
+    enable_compression(*q, vk);
     if (!cfg_.peer_transfer && !cfg_.dedup && !cfg_.manifest) co_return;
     const std::string img = img_name(vk);
     bool want_cov = false;
@@ -1724,7 +1734,7 @@ class Engine {
       if (nq == nullptr) {
         ok = false;
       } else {
-        if (cfg_.cache_compress) nq->set_cor_compress(true);
+        enable_compression(*nq, new_vk);
         const std::uint64_t ccs = cache_cluster_bytes();
         nq->set_backing_fetch_hook(
             [this, oq, old_vk, new_vk, ccs](std::uint64_t vaddr,

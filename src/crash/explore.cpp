@@ -168,7 +168,8 @@ Result<block::DevicePtr> open_image(io::BackendPtr file,
   }
   auto dev = sim::sync_wait(qcow2::Qcow2Device::open(std::move(file), opt));
   if (dev.ok() && cfg.cor_chain && cfg.cor_compress) {
-    static_cast<qcow2::Qcow2Device*>(dev->get())->set_cor_compress(true);
+    VMIC_TRY_VOID(
+        static_cast<qcow2::Qcow2Device*>(dev->get())->set_cor_compress(true));
   }
   return dev;
 }

@@ -499,14 +499,18 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   if ((l1_[i1] & kOffsetMask) != 0) co_return ok_result();
 
   // Allocate and zero a fresh L2 table, then hook it into the L1.
-  VMIC_CO_TRY(l2_off,
-              co_await alloc_clusters(
-                  1, RefHint{h_.l1_table_offset + i1 * 8, /*run=*/true}));
+  const RefHint hint{h_.l1_table_offset + i1 * 8, /*run=*/true};
+  VMIC_CO_TRY(l2_off, co_await alloc_clusters(1, hint));
   std::vector<std::uint8_t> zeros(cs, 0);
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off, zeros));
+  auto wr = co_await file_->pwrite(l2_off, zeros);
   // Barrier: the table must be durably zeroed before the L1 publishes it
   // (a crash must never expose a table of leftover garbage entries).
-  VMIC_CO_TRY_VOID(co_await file_->flush());
+  if (wr.ok()) wr = co_await file_->flush();
+  if (!wr.ok()) {
+    // The table never landed: release its cluster (nothing leaks).
+    VMIC_CO_TRY_VOID(co_await free_clusters(l2_off, 1, hint));
+    co_return wr.error();
+  }
   l2_tables_.emplace(
       l2_off, std::make_unique<std::vector<std::uint64_t>>(ly_.l2_entries()));
   l1_[i1] = l2_off | kFlagCopied;
@@ -514,26 +518,6 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   std::uint8_t be[8];
   store_be64(be, l1_[i1]);
   VMIC_CO_TRY_VOID(co_await file_->pwrite(h_.l1_table_offset + i1 * 8, be));
-  co_return ok_result();
-}
-
-sim::Task<Result<void>> Qcow2Device::set_l2_entries(std::uint64_t vaddr,
-                                                    std::uint64_t host_off,
-                                                    std::uint64_t count) {
-  const std::uint64_t cs = ly_.cluster_size();
-  VMIC_CO_TRY_VOID(co_await ensure_l2_table(vaddr));
-  const std::uint64_t i1 = ly_.l1_index(vaddr);
-  const std::uint64_t l2_off = l1_[i1] & kOffsetMask;
-  VMIC_CO_TRY(l2, co_await load_l2(l2_off));
-  const std::uint64_t i2 = ly_.l2_index(vaddr);
-  assert(i2 + count <= ly_.l2_entries());
-
-  std::vector<std::uint8_t> be(count * 8);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    (*l2)[i2 + k] = (host_off + k * cs) | kFlagCopied;
-    store_be64(be.data() + k * 8, (*l2)[i2 + k]);
-  }
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, be));
   co_return ok_result();
 }
 
@@ -645,25 +629,30 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
   claim_run(idx, end);
 
   // Make sure every touched refcount block exists, then persist entries.
+  Result<void> r = ok_result();
   const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::uint64_t bi = idx / rpb; bi <= (end - 1) / rpb; ++bi) {
-    auto r = co_await ensure_refcount_block(bi * rpb);
-    if (!r.ok()) {
-      // Roll back the marks so the mirror stays consistent. The rare
-      // failure path just rebuilds the free-run index from scratch.
-      for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 0;
-      refcounts_.resize(std::max(old_size, idx));
-      index_free_runs();
-      co_return r.error();
-    }
+  for (std::uint64_t bi = idx / rpb; r.ok() && bi <= (end - 1) / rpb; ++bi) {
+    r = co_await ensure_refcount_block(bi * rpb);
   }
-  if (journal_) {
+  if (r.ok() && journal_) {
     // Journal mode: the record IS the persistence — the blocks are only
     // written back at checkpoints. Rides the caller's publish barrier.
-    VMIC_CO_TRY_VOID(co_await journal_append(
-        kJournalOpAlloc | (hint.run ? kJournalRefRun : 0), idx, n, hint));
-  } else {
-    VMIC_CO_TRY_VOID(co_await write_refcount_entries(idx, n));
+    r = co_await journal_append(
+        kJournalOpAlloc | (hint.run ? kJournalRefRun : 0), idx, n, hint);
+  } else if (r.ok()) {
+    r = co_await write_refcount_entries(idx, n);
+  }
+  if (!r.ok()) {
+    // Take the marks back, so the mirror never counts a cluster nothing
+    // references. Refcount blocks created on the way stay (the refcount
+    // table references them). The rare failure path just rebuilds the
+    // free-run index from scratch.
+    for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 0;
+    while (refcounts_.size() > old_size && refcounts_.back() == 0) {
+      refcounts_.pop_back();
+    }
+    index_free_runs();
+    co_return r.error();
   }
   free_guess_ = end;
   co_return idx * ly_.cluster_size();
@@ -1035,35 +1024,15 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
   // backing image. This is exactly the effect the paper measures in
   // Fig 9 — at 64 KiB clusters a small read forces a large fill, causing
   // *more* storage-node traffic than plain QCOW2; at 512 B clusters the
-  // fill is empty for sector-aligned guest I/O. A fill aligned at both
-  // ends is stored straight from the caller's bytes; only a fill with a
-  // head or tail to fetch is staged.
-  const std::uint64_t data_end = vaddr + data.size();
+  // fill is empty for sector-aligned guest I/O.
   std::vector<std::uint8_t> staging;
-  std::span<const std::uint8_t> fill = data;
-  if (vaddr != lo || data_end != hi) {
-    staging.assign(hi - lo, 0);
-    std::memcpy(staging.data() + (vaddr - lo), data.data(), data.size());
-    if (vaddr > lo) {
-      VMIC_CO_TRY_VOID(co_await read_from_backing(
-          lo, std::span(staging.data(), vaddr - lo)));
-    }
-    const std::uint64_t fill_end = std::min(hi, h_.size);
-    if (fill_end > data_end) {
-      VMIC_CO_TRY_VOID(co_await read_from_backing(
-          data_end,
-          std::span(staging.data() + (data_end - lo), fill_end - data_end)));
-    }
-    fill = staging;
-  }
+  VMIC_CO_TRY(fill, co_await stage_run(vaddr, data,
+                                       Extent{MapKind::unallocated, 0, 0},
+                                       staging));
 
-  // Allocate and store runs of clusters that are still absent. Metadata
-  // (L2/refcount mutation) happens under alloc_mutex_; the payload write
-  // does not, so disjoint fills overlap on the bulk transfer. The L2
-  // entries are published only after the data landed (publish-after-
-  // write) — no reader can map a cluster whose bytes are still in
-  // flight, and readers of *this* range are excluded by the range lock
-  // anyway.
+  // Store the runs of clusters that are still absent; the expanded edges
+  // may already be cached. Readers of this range are excluded by the
+  // range lock, so nothing else maps these clusters meanwhile.
   std::uint64_t pos = lo;
   bool stored = false;
   while (pos < hi && pos < h_.size) {
@@ -1072,66 +1041,11 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
       pos += ext.len;
       continue;
     }
-    if (cor_compress_) {
-      // Compressed mode decides compressed-vs-plain per cluster but
-      // batches the whole run under one flush barrier, like the plain
-      // path below.
-      const std::uint64_t nclusters = div_ceil(ext.len, cs);
-      VMIC_CO_TRY_VOID(co_await cor_store_compressed_run(
-          pos, fill.subspan(pos - lo, nclusters * cs)));
-      stored = true;
-      pos += nclusters * cs;
-      continue;
-    }
-    const std::uint64_t want = div_ceil(ext.len, cs);
-    assert(want > 0);
-    std::uint64_t got = want;
-    std::uint64_t host = 0;
-    RefHint slots{};
-    {
-      auto guard = co_await lock_alloc();
-      // The L2 table is created before the data clusters: a quota failure
-      // then never strands an unreferenced (leaked) data cluster.
-      VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
-      slots.ref_off = (l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                      ly_.l2_index(pos) * 8;
-      // All-or-nothing allocation first; near the quota edge, degrade to
-      // one-cluster steps so the cache fills up to the quota exactly
-      // ("the first n blocks are stored until the quota is reached",
-      // §3.2).
-      auto r = co_await alloc_clusters(want, slots);
-      if (!r.ok() && r.error() == Errc::no_space && want > 1) {
-        got = 1;
-        r = co_await alloc_clusters(1, slots);
-      }
-      if (!r.ok()) co_return r.error();
-      host = *r;
-    }
-    const std::uint64_t nbytes = got * cs;
-    auto wr = co_await file_->pwrite(host, fill.subspan(pos - lo, nbytes));
-    if (wr.ok()) {
-      // Barrier: the payload must be durable before the L2 entry that
-      // publishes it — a crash may lose the cluster (leak), never expose
-      // a mapped cluster of torn bytes.
-      wr = co_await file_->flush();
-    }
-    {
-      auto guard = co_await lock_alloc();
-      if (!wr.ok()) {
-        // The data never landed: release the clusters (nothing leaks)
-        // and surface the medium error.
-        VMIC_CO_TRY_VOID(co_await free_clusters(host, got, slots));
-        co_return wr.error();
-      }
-      VMIC_CO_TRY_VOID(co_await set_l2_entries(pos, host, got));
-    }
-    data_clusters_ += got;
-    stats_.cor_clusters += got;
-    stats_.cor_bytes += nbytes;
-    bump(agg_.cor_clusters, got);
-    bump(agg_.cor_bytes, nbytes);
+    const std::uint64_t n = div_ceil(ext.len, cs);
+    VMIC_CO_TRY(got, co_await store_run(pos, fill.subspan(pos - lo, n * cs),
+                                        ext, cor_compress_));
     stored = true;
-    pos += nbytes;
+    pos += got * cs;
   }
   if (stored) {
     ++stats_.cor_fills;
@@ -1147,16 +1061,254 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
 }
 
 // ===========================================================================
+// cluster store: the one place–write–publish path
+// ===========================================================================
+
+sim::Task<Result<std::span<const std::uint8_t>>> Qcow2Device::stage_run(
+    std::uint64_t vaddr, std::span<const std::uint8_t> data, const Extent& old,
+    std::vector<std::uint8_t>& staging) {
+  const std::uint64_t cs = ly_.cluster_size();
+  const std::uint64_t lo = align_down(vaddr, cs);
+  const std::uint64_t end = vaddr + data.size();
+  const std::uint64_t hi = align_up(end, cs);
+  // A run aligned at both ends is stored straight from the caller's bytes.
+  if (vaddr == lo && end == hi) co_return data;
+  staging.assign(hi - lo, 0);
+  if (old.kind == MapKind::compressed) {
+    VMIC_CO_TRY_VOID(co_await read_compressed(lo, old, staging));
+  } else if (old.kind == MapKind::unallocated) {
+    if (vaddr > lo) {
+      VMIC_CO_TRY_VOID(co_await read_from_backing(
+          lo, std::span(staging.data(), vaddr - lo)));
+    }
+    const std::uint64_t fill_end = std::min(hi, h_.size);
+    if (fill_end > end) {
+      VMIC_CO_TRY_VOID(co_await read_from_backing(
+          end, std::span(staging.data() + (end - lo), fill_end - end)));
+    }
+  }
+  std::memcpy(staging.data() + (vaddr - lo), data.data(), data.size());
+  co_return std::span<const std::uint8_t>(staging);
+}
+
+sim::Task<Result<std::uint64_t>> Qcow2Device::store_run(
+    std::uint64_t vaddr, std::span<const std::uint8_t> src, const Extent& old,
+    bool compress) {
+  const std::uint64_t cs = ly_.cluster_size();
+  assert((vaddr & (cs - 1)) == 0 && !src.empty() && src.size() % cs == 0);
+  assert(ly_.l1_index(vaddr) == ly_.l1_index(vaddr + src.size() - 1));
+
+  // 1. Plan. A plain run is one piece. Compressed mode decides per cluster
+  // up front (pure CPU, no locks): payloads are sector-granular, so only a
+  // shrink of at least one full sector saves anything; a cluster that
+  // does not shrink is stored plain.
+  Piece whole;
+  whole.vaddr = vaddr;
+  whole.bytes = src;
+  std::vector<Piece> plan;
+  if (compress) {
+    plan.resize(src.size() / cs);
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+      Piece& p = plan[k];
+      p.vaddr = vaddr + k * cs;
+      p.bytes = src.subspan(k * cs, cs);
+      if (cs <= 512) continue;
+      // The payload buffer is the compressor's output: a stream that fits
+      // cs - 512 bytes also fits once padded to whole sectors, so only
+      // the padding needs zeroing.
+      auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cs - 512);
+      const std::size_t csize =
+          lzss_compress(p.bytes, {buf.get(), cs - 512}, cs - 512);
+      if (csize == 0) continue;
+      p.sectors = div_ceil(static_cast<std::uint64_t>(csize),
+                           std::uint64_t{512});
+      std::memset(buf.get() + csize, 0, p.sectors * 512 - csize);
+      p.bytes = {buf.get(), p.sectors * 512};
+      p.payload = std::move(buf);
+    }
+  }
+  const std::span<Piece> pieces =
+      compress ? std::span<Piece>(plan) : std::span<Piece>(&whole, 1);
+
+  // 2. Place every piece under one lock hold. The L2 table comes first:
+  // a quota failure then never strands an unreferenced data cluster. A
+  // plain run places its clusters or fails at once; a compressed run
+  // stops at its first failed placement and still writes and publishes
+  // what it placed, so the cache fills up to the quota edge either way.
+  std::size_t placed = 0;
+  Result<void> stop = ok_result();
+  {
+    auto guard = co_await lock_alloc();
+    stop = co_await ensure_l2_table(vaddr);
+    while (stop.ok() && placed < pieces.size()) {
+      stop = co_await place(pieces[placed]);
+      if (stop.ok()) ++placed;
+    }
+    if (!stop.ok() && !compress) co_return stop.error();
+  }
+
+  // 3. One pwrite per file-contiguous group of pieces (outside the lock:
+  // disjoint fills overlap on the bulk transfer), a lone piece straight
+  // from its bytes, then ONE flush. Barrier: every payload is durable
+  // before any L2 entry publishes it — a crash may leak a cluster, never
+  // expose a mapped cluster of torn bytes. A flush per cluster would
+  // charge a positioning cost per 4 KiB and dominate fill latency.
+  Result<void> wr = ok_result();
+  std::vector<std::uint8_t> gather;
+  for (std::size_t i = 0; i < placed && wr.ok();) {
+    std::size_t j = i + 1;
+    std::uint64_t next = pieces[i].off + pieces[i].bytes.size();
+    while (j < placed && pieces[j].off == next) {
+      next += pieces[j++].bytes.size();
+    }
+    std::span<const std::uint8_t> bytes = pieces[i].bytes;
+    if (j > i + 1) {
+      gather.clear();
+      for (std::size_t k = i; k < j; ++k) {
+        gather.insert(gather.end(), pieces[k].bytes.begin(),
+                      pieces[k].bytes.end());
+      }
+      bytes = gather;
+    }
+    wr = co_await file_->pwrite(pieces[i].off, bytes);
+    i = j;
+  }
+  if (wr.ok() && placed > 0) wr = co_await file_->flush();
+
+  // 4. Publish every placed cluster with one L2 write, or, if the data
+  // never landed, drop every reference the run took (a clean failure must
+  // not leak; packing-cluster over-counts are a crash-only artefact).
+  std::uint64_t clusters = 0;
+  std::uint64_t plain = 0;
+  std::uint64_t saved = 0;
+  {
+    auto guard = co_await lock_alloc();
+    if (!wr.ok()) {
+      for (std::size_t i = 0; i < placed; ++i) {
+        const Piece& p = pieces[i];
+        if (p.sectors != 0) {
+          VMIC_CO_TRY_VOID(co_await free_compressed_entry(
+              ly_.encode_compressed({p.off, p.sectors}), l2_slot(p.vaddr)));
+        } else {
+          VMIC_CO_TRY_VOID(co_await free_clusters(
+              p.off, p.bytes.size() / cs, l2_slot(p.vaddr)));
+        }
+      }
+      co_return wr.error();
+    }
+    if (placed > 0) {
+      std::vector<std::uint64_t> entries;
+      entries.reserve(src.size() / cs);
+      for (std::size_t i = 0; i < placed; ++i) {
+        const Piece& p = pieces[i];
+        if (p.sectors != 0) {
+          entries.push_back(ly_.encode_compressed({p.off, p.sectors}));
+          saved += cs - p.sectors * 512;
+          continue;
+        }
+        for (std::uint64_t k = 0; k < p.bytes.size(); k += cs) {
+          entries.push_back((p.off + k) | kFlagCopied);
+        }
+        plain += p.bytes.size() / cs;
+      }
+      clusters = entries.size();
+      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(vaddr, std::move(entries)));
+      if (old.kind == MapKind::compressed) {
+        // A write over a compressed cluster drops the old payload's
+        // reference behind a barrier (free could hand the shared cluster
+        // out again while the old mapping is still the durable one).
+        VMIC_CO_TRY_VOID(co_await free_extent(vaddr, old));
+      }
+    }
+  }
+  data_clusters_ += plain;
+  if (cache_) {
+    // Every cluster a cache stores is a copy-on-read fill: guests cannot
+    // write to caches.
+    stats_.cor_clusters += clusters;
+    stats_.cor_bytes += clusters * cs;
+    bump(agg_.cor_clusters, clusters);
+    bump(agg_.cor_bytes, clusters * cs);
+  }
+  if (compress) {
+    bump(agg_.comp_clusters, clusters - plain);
+    bump(agg_.comp_bytes_saved, saved);
+    bump(agg_.comp_fallbacks, plain);
+  }
+  if (!stop.ok()) co_return stop.error();
+  co_return clusters;
+}
+
+sim::Task<Result<void>> Qcow2Device::place(Piece& p) {
+  const std::uint64_t cs = ly_.cluster_size();
+  const RefHint hint = l2_slot(p.vaddr);
+  if (p.sectors == 0) {
+    const std::uint64_t n = p.bytes.size() / cs;
+    auto r = co_await alloc_clusters(n, hint);
+    if (!r.ok() && r.error() == Errc::no_space && n > 1 && cache_) {
+      // Near a cache's quota edge, degrade to one cluster so the cache
+      // fills up to the quota exactly ("the first n blocks are stored
+      // until the quota is reached", §3.2); the caller stores the rest
+      // next.
+      p.bytes = p.bytes.first(cs);
+      r = co_await alloc_clusters(1, hint);
+    }
+    VMIC_CO_TRY(host, std::move(r));
+    p.off = host;
+    co_return ok_result();
+  }
+  // A compressed payload packs into the open packing cluster. The incref
+  // lands before the payload and the publish: a crash in between leaves
+  // an over-count only, which repair() drops.
+  const std::uint64_t spc = cs / 512;  // sectors per cluster
+  if (comp_cluster_off_ != 0 && comp_next_sector_ + p.sectors <= spc) {
+    VMIC_CO_TRY_VOID(co_await incref_cluster(comp_cluster_off_ / cs));
+  } else {
+    // Fresh packing cluster; the old one's free tail is wasted.
+    VMIC_CO_TRY(host, co_await alloc_clusters(1, hint));
+    comp_cluster_off_ = host;
+    comp_next_sector_ = 0;
+    ++data_clusters_;
+  }
+  p.off = comp_cluster_off_ + comp_next_sector_ * 512;
+  comp_next_sector_ += p.sectors;
+  if (comp_next_sector_ >= spc) {
+    comp_cluster_off_ = 0;
+    comp_next_sector_ = 0;
+  }
+  co_return ok_result();
+}
+
+sim::Task<Result<void>> Qcow2Device::free_extent(std::uint64_t vaddr,
+                                                 const Extent& ext) {
+  if (ext.kind != MapKind::data && ext.kind != MapKind::compressed) {
+    co_return ok_result();
+  }
+  // Barrier: the L2 dereference must be durable before the refcounts drop
+  // — the reverse order could persist the decrement alone and hand a
+  // still-referenced cluster to the allocator.
+  VMIC_CO_TRY_VOID(co_await file_->flush());
+  if (ext.kind == MapKind::compressed) {
+    // The payload's host cluster frees only when its last sharer leaves.
+    co_return co_await free_compressed_entry(ext.entry, l2_slot(vaddr));
+  }
+  const std::uint64_t clusters = div_ceil(ext.len, ly_.cluster_size());
+  VMIC_CO_TRY_VOID(
+      co_await free_clusters(ext.host_off, clusters, l2_slot(vaddr)));
+  data_clusters_ -= clusters;
+  co_return ok_result();
+}
+
+// ===========================================================================
 // compressed clusters
 // ===========================================================================
 
-void Qcow2Device::set_cor_compress(bool on) {
+Result<void> Qcow2Device::set_cor_compress(bool on) {
   if (on && journal_) {
     // The refcount journal's verified-recompute replay checks one
     // reference slot per recorded run and masks entries with kOffsetMask —
-    // both break for shared compressed host clusters. Compression stays
-    // off on journaled images (documented in DESIGN.md).
-    return;
+    // both break for shared compressed host clusters (DESIGN.md).
+    return Errc::unsupported;
   }
   cor_compress_ = on;
   if (on && hub_ != nullptr && agg_.comp_clusters == nullptr) {
@@ -1167,6 +1319,7 @@ void Qcow2Device::set_cor_compress(bool on) {
     agg_.comp_fallbacks = &r.counter("qcow2.compressed.fallbacks", ls);
     agg_.comp_reads = &r.counter("qcow2.compressed.reads", ls);
   }
+  return ok_result();
 }
 
 sim::Task<Result<void>> Qcow2Device::read_compressed(
@@ -1207,231 +1360,10 @@ sim::Task<Result<void>> Qcow2Device::incref_cluster(std::uint64_t cluster_idx) {
     co_return Errc::corrupt;
   }
   ++refcounts_[cluster_idx];
-  VMIC_CO_TRY_VOID(co_await write_refcount_entries(cluster_idx, 1));
-  co_return ok_result();
-}
-
-sim::Task<Result<void>> Qcow2Device::cor_store_compressed_run(
-    std::uint64_t vaddr, std::span<const std::uint8_t> data) {
-  const std::uint64_t cs = ly_.cluster_size();
-  assert((vaddr & (cs - 1)) == 0 && data.size() % cs == 0 &&
-         !data.empty());
-  const std::uint64_t n = data.size() / cs;
-  const std::uint64_t spc = cs / 512;  // sectors per cluster
-
-  // Pass 1 — compress every cluster up front (pure CPU, no locks).
-  // Payloads are sector-granular, so only a shrink of at least one full
-  // sector saves anything; sectors == 0 marks an incompressible cluster
-  // that is stored as a plain data cluster instead.
-  struct Pend {
-    std::uint64_t vaddr = 0;
-    std::uint64_t off = 0;      // file offset of the payload
-    std::uint64_t sectors = 0;  // 0 => plain full cluster
-    RefHint slots{};
-    /// sectors * 512 bytes of sector-padded payload; null when plain.
-    std::unique_ptr<std::uint8_t[]> payload;
-  };
-  std::vector<Pend> pend(static_cast<std::size_t>(n));
-  for (std::uint64_t k = 0; k < n; ++k) {
-    Pend& p = pend[static_cast<std::size_t>(k)];
-    p.vaddr = vaddr + k * cs;
-    if (cs > 512) {
-      // The payload buffer is the compressor's output: a stream that
-      // fits cs - 512 bytes also fits once padded to whole sectors, so
-      // only the padding needs zeroing.
-      auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cs - 512);
-      const std::size_t csize = lzss_compress(data.subspan(k * cs, cs),
-                                              {buf.get(), cs - 512}, cs - 512);
-      if (csize > 0) {
-        p.sectors = div_ceil(static_cast<std::uint64_t>(csize),
-                             std::uint64_t{512});
-        std::memset(buf.get() + csize, 0, p.sectors * 512 - csize);
-        p.payload = std::move(buf);
-      }
-    }
-  }
-
-  // Pass 2 — allocate space for every payload under one lock hold.
-  // Compressed payloads pack into the open packing cluster (ordering:
-  // the incref lands before the payload/publish — a crash in between
-  // leaves an over-count only, which repair() drops); incompressible
-  // clusters allocate plainly. A quota failure mid-run stops the run:
-  // what was placed before it is still written and published, so the
-  // cache fills up to the quota edge exactly like the plain path.
-  std::optional<Errc> alloc_err;
-  std::size_t got = 0;
-  {
-    auto guard = co_await lock_alloc();
-    for (auto& p : pend) {
-      auto place = [&]() -> sim::Task<Result<void>> {
-        VMIC_CO_TRY_VOID(co_await ensure_l2_table(p.vaddr));
-        p.slots.ref_off = (l1_[ly_.l1_index(p.vaddr)] & kOffsetMask) +
-                          ly_.l2_index(p.vaddr) * 8;
-        if (p.sectors == 0) {
-          VMIC_CO_TRY(h, co_await alloc_clusters(1, p.slots));
-          p.off = h;
-          co_return ok_result();
-        }
-        if (comp_cluster_off_ != 0 && comp_next_sector_ + p.sectors <= spc) {
-          VMIC_CO_TRY_VOID(co_await incref_cluster(comp_cluster_off_ / cs));
-        } else {
-          // Fresh packing cluster; the old one's free tail is wasted.
-          VMIC_CO_TRY(host, co_await alloc_clusters(1, p.slots));
-          comp_cluster_off_ = host;
-          comp_next_sector_ = 0;
-          ++data_clusters_;
-        }
-        p.off = comp_cluster_off_ + comp_next_sector_ * 512;
-        comp_next_sector_ += p.sectors;
-        if (comp_next_sector_ >= spc) {
-          comp_cluster_off_ = 0;
-          comp_next_sector_ = 0;
-        }
-        co_return ok_result();
-      };
-      auto r = co_await place();
-      if (!r.ok()) {
-        alloc_err = r.error();
-        break;
-      }
-      ++got;
-    }
-  }
-
-  // Pass 3 — payload writes (outside the lock: disjoint fills overlap on
-  // the bulk transfer), coalescing file-contiguous payloads into single
-  // writes, then ONE flush barrier for the whole run: every payload is
-  // durable before any L2 entry publishes it. Flushing per cluster would
-  // charge a disk positioning cost per 4 KiB and dominate fill latency.
-  Result<void> wr = ok_result();
-  {
-    std::vector<std::uint8_t> chunk;
-    std::uint64_t chunk_off = 0;
-    auto flush_chunk = [&]() -> sim::Task<Result<void>> {
-      if (chunk.empty()) co_return ok_result();
-      auto r = co_await file_->pwrite(chunk_off, chunk);
-      chunk.clear();
-      co_return r;
-    };
-    for (std::size_t i = 0; i < got && wr.ok(); ++i) {
-      const Pend& p = pend[i];
-      const std::span<const std::uint8_t> bytes =
-          p.sectors == 0 ? data.subspan(p.vaddr - vaddr, cs)
-                         : std::span<const std::uint8_t>(p.payload.get(),
-                                                         p.sectors * 512);
-      if (chunk.empty() || chunk_off + chunk.size() != p.off) {
-        wr = co_await flush_chunk();
-        if (!wr.ok()) break;
-        chunk_off = p.off;
-      }
-      chunk.insert(chunk.end(), bytes.begin(), bytes.end());
-    }
-    if (wr.ok()) wr = co_await flush_chunk();
-    if (wr.ok() && got > 0) wr = co_await file_->flush();
-  }
-
-  // Pass 4 — publish every placed cluster (or roll all of them back on a
-  // write failure) under one lock hold. Virtually-contiguous entries in
-  // the same L2 table publish in one metadata write.
-  std::uint64_t comp_count = 0;
-  std::uint64_t comp_saved = 0;
-  std::uint64_t plain_count = 0;
-  {
-    auto guard = co_await lock_alloc();
-    if (!wr.ok()) {
-      // Nothing was published: drop every reference this run took (a
-      // clean failure must not leak; packing-cluster over-counts are a
-      // crash-only artefact).
-      for (std::size_t i = 0; i < got; ++i) {
-        const Pend& p = pend[i];
-        const std::uint64_t host = align_down(p.off, cs);
-        VMIC_CO_TRY_VOID(co_await free_clusters(host, 1, p.slots));
-        if (p.sectors != 0 && refcounts_[host / cs] == 0) {
-          --data_clusters_;
-          if (comp_cluster_off_ == host) {
-            comp_cluster_off_ = 0;
-            comp_next_sector_ = 0;
-          }
-        }
-      }
-      co_return wr.error();
-    }
-    std::vector<std::uint64_t> entries;
-    entries.reserve(got);
-    for (std::size_t i = 0; i < got; ++i) {
-      const Pend& p = pend[i];
-      if (p.sectors == 0) {
-        entries.push_back((p.off & kOffsetMask) | kFlagCopied);
-        ++data_clusters_;
-        ++plain_count;
-      } else {
-        entries.push_back(ly_.encode_compressed(
-            Layout::CompressedDesc{p.off, p.sectors}));
-        ++comp_count;
-        comp_saved += cs - p.sectors * 512;
-      }
-    }
-    if (got > 0) {
-      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(vaddr, entries));
-    }
-  }
-
-  stats_.cor_clusters += got;
-  stats_.cor_bytes += got * cs;
-  bump(agg_.cor_clusters, got);
-  bump(agg_.cor_bytes, got * cs);
-  bump(agg_.comp_clusters, comp_count);
-  bump(agg_.comp_bytes_saved, comp_saved);
-  bump(agg_.comp_fallbacks, plain_count);
-  if (alloc_err) co_return *alloc_err;
-  co_return ok_result();
-}
-
-sim::Task<Result<void>> Qcow2Device::rewrite_compressed(
-    std::uint64_t pos, const Extent& ext, std::span<const std::uint8_t> sub) {
-  const std::uint64_t cs = ly_.cluster_size();
-  const std::uint64_t lo = align_down(pos, cs);
-
-  // Decompress-modify: splice the write over the old cluster content.
-  // Both buffers stay uninitialised, as in read_compressed().
-  const auto cluster = std::make_unique_for_overwrite<std::uint8_t[]>(cs);
-  {
-    const Layout::CompressedDesc d = ly_.decode_compressed(ext.entry);
-    if (!ly_.compressed_desc_sane(d)) co_return Errc::corrupt;
-    const std::size_t plen = d.sectors * 512;
-    const auto payload = std::make_unique_for_overwrite<std::uint8_t[]>(plen);
-    const std::span<std::uint8_t> stream(payload.get(), plen);
-    VMIC_CO_TRY_VOID(co_await file_->pread(d.offset, stream));
-    if (!lzss_decompress(stream, {cluster.get(), cs})) co_return Errc::corrupt;
-  }
-  std::memcpy(cluster.get() + (pos - lo), sub.data(), sub.size());
-
-  std::uint64_t host = 0;
-  RefHint slots{};
-  {
-    auto guard = co_await lock_alloc();
-    VMIC_CO_TRY_VOID(co_await ensure_l2_table(lo));
-    slots.ref_off = (l1_[ly_.l1_index(lo)] & kOffsetMask) +
-                    ly_.l2_index(lo) * 8;
-    VMIC_CO_TRY(h, co_await alloc_clusters(1, slots));
-    host = h;
-  }
-  auto wr = co_await file_->pwrite(host, {cluster.get(), cs});
-  if (wr.ok()) wr = co_await file_->flush();
-  {
-    auto guard = co_await lock_alloc();
-    if (!wr.ok()) {
-      VMIC_CO_TRY_VOID(co_await free_clusters(host, 1, slots));
-      co_return wr.error();
-    }
-    VMIC_CO_TRY_VOID(co_await set_l2_entries(lo, host, 1));
-    // Barrier: the new mapping must be durable before the old payload's
-    // reference drops (free could hand the shared cluster out again).
-    VMIC_CO_TRY_VOID(co_await file_->flush());
-    VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
-  }
-  ++data_clusters_;
-  co_return ok_result();
+  auto r = co_await write_refcount_entries(cluster_idx, 1);
+  // Not persisted: take the count back, nothing references it yet.
+  if (!r.ok()) --refcounts_[cluster_idx];
+  co_return r;
 }
 
 sim::Task<Result<void>> Qcow2Device::free_compressed_entry(
@@ -1497,77 +1429,17 @@ sim::Task<Result<void>> Qcow2Device::write(
     auto sub = src.subspan(pos - off, ext.len);
     if (ext.kind == MapKind::data) {
       VMIC_CO_TRY_VOID(co_await file_->pwrite(ext.host_off, sub));
-    } else if (ext.kind == MapKind::compressed) {
-      VMIC_CO_TRY_VOID(co_await rewrite_compressed(pos, ext, sub));
     } else {
-      // Unallocated clusters fill their edges from the backing chain;
-      // zero-flagged clusters fill with zeros.
-      VMIC_CO_TRY_VOID(
-          co_await cow_write(pos, sub,
-                             /*fill_from_backing=*/ext.kind ==
-                                 MapKind::unallocated));
+      // Copy-on-write: unallocated, zero-flagged and compressed clusters
+      // get fresh plain clusters. Their edges come from the backing chain
+      // (which may itself populate a cache image below us — data from the
+      // base is allowed into the cache), zeros, or the old payload.
+      std::vector<std::uint8_t> staging;
+      VMIC_CO_TRY(run, co_await stage_run(pos, sub, ext, staging));
+      VMIC_CO_TRY_VOID(co_await store_run(align_down(pos, ly_.cluster_size()),
+                                          run, ext, /*compress=*/false));
     }
     pos += ext.len;
-  }
-  co_return ok_result();
-}
-
-sim::Task<Result<void>> Qcow2Device::cow_write(
-    std::uint64_t vaddr, std::span<const std::uint8_t> src,
-    bool fill_from_backing) {
-  // Precondition: [vaddr, vaddr+len) holds no data clusters here.
-  const std::uint64_t cs = ly_.cluster_size();
-  const std::uint64_t lo = align_down(vaddr, cs);
-  const std::uint64_t hi = align_up(vaddr + src.size(), cs);
-
-  // Copy-on-write fill: the parts of the boundary clusters not covered by
-  // the write come from the backing chain (which may itself populate a
-  // cache image below us — data from the base is allowed into the cache).
-  // Zero-flagged clusters fill with zeros instead.
-  std::vector<std::uint8_t> buf(hi - lo, 0);
-  std::memcpy(buf.data() + (vaddr - lo), src.data(), src.size());
-  if (vaddr > lo && fill_from_backing) {
-    VMIC_CO_TRY_VOID(
-        co_await read_from_backing(lo, std::span(buf.data(), vaddr - lo)));
-  }
-  const std::uint64_t data_end = vaddr + src.size();
-  if (hi > data_end && fill_from_backing) {
-    const std::uint64_t fill_end = std::min(hi, h_.size);
-    if (fill_end > data_end) {
-      VMIC_CO_TRY_VOID(co_await read_from_backing(
-          data_end,
-          std::span(buf.data() + (data_end - lo), fill_end - data_end)));
-    }
-  }
-
-  std::uint64_t pos = lo;
-  while (pos < hi) {
-    // Allocation runs must not cross an L2 boundary.
-    const std::uint64_t l2_span = ly_.bytes_per_l2();
-    const std::uint64_t chunk =
-        std::min(hi - pos, l2_span - (pos & (l2_span - 1)));
-    const std::uint64_t n = chunk / cs;
-    std::uint64_t host = 0;
-    {
-      auto guard = co_await lock_alloc();
-      VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
-      const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                              ly_.l2_index(pos) * 8,
-                          /*run=*/false};
-      auto r = co_await alloc_clusters(n, slots);
-      if (!r.ok()) co_return r.error();
-      host = *r;
-    }
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(
-        host, std::span(buf.data() + (pos - lo), chunk)));
-    // Barrier: payload before publish (same argument as cor_store).
-    VMIC_CO_TRY_VOID(co_await file_->flush());
-    {
-      auto guard = co_await lock_alloc();
-      VMIC_CO_TRY_VOID(co_await set_l2_entries(pos, host, n));
-    }
-    data_clusters_ += n;
-    pos += chunk;
   }
   co_return ok_result();
 }
@@ -1611,45 +1483,40 @@ sim::Task<Result<void>> Qcow2Device::free_clusters(std::uint64_t host_off,
   co_return ok_result();
 }
 
-sim::Task<Result<void>> Qcow2Device::set_l2_raw(std::uint64_t vaddr,
-                                                std::uint64_t entry,
-                                                std::uint64_t count) {
+sim::Task<Result<void>> Qcow2Device::set_l2_raw_run(
+    std::uint64_t vaddr, std::vector<std::uint64_t> entries) {
   VMIC_CO_TRY_VOID(co_await ensure_dirty());
   VMIC_CO_TRY_VOID(co_await ensure_l2_table(vaddr));
-  const std::uint64_t i1 = ly_.l1_index(vaddr);
-  const std::uint64_t l2_off = l1_[i1] & kOffsetMask;
+  const std::uint64_t l2_off = l1_[ly_.l1_index(vaddr)] & kOffsetMask;
   VMIC_CO_TRY(l2, co_await load_l2(l2_off));
   const std::uint64_t i2 = ly_.l2_index(vaddr);
-  assert(i2 + count <= ly_.l2_entries());
-  std::vector<std::uint8_t> be(count * 8);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    (*l2)[i2 + k] = entry;
-    store_be64(be.data() + k * 8, entry);
+  assert(i2 + entries.size() <= ly_.l2_entries());
+  // Update the mirror, then pack the entries big-endian in place: the
+  // vector doubles as the write buffer.
+  auto* be = reinterpret_cast<std::uint8_t*>(entries.data());
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    (*l2)[i2 + k] = entries[k];
+    store_be64(be + k * 8, entries[k]);
   }
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, be));
-  co_return ok_result();
+  co_return co_await file_->pwrite(l2_off + i2 * 8, {be, entries.size() * 8});
 }
 
-sim::Task<Result<void>> Qcow2Device::set_l2_raw_run(
-    std::uint64_t vaddr, std::span<const std::uint64_t> entries) {
-  VMIC_CO_TRY_VOID(co_await ensure_dirty());
+sim::Task<Result<void>> Qcow2Device::unmap_clusters(std::uint64_t lo,
+                                                    std::uint64_t hi,
+                                                    std::uint64_t entry) {
   const std::uint64_t cs = ly_.cluster_size();
-  std::uint64_t done = 0;
-  while (done < entries.size()) {
-    const std::uint64_t pos = vaddr + done * cs;
-    VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
-    const std::uint64_t l2_off = l1_[ly_.l1_index(pos)] & kOffsetMask;
-    VMIC_CO_TRY(l2, co_await load_l2(l2_off));
-    const std::uint64_t i2 = ly_.l2_index(pos);
-    const std::uint64_t count = std::min<std::uint64_t>(
-        entries.size() - done, ly_.l2_entries() - i2);
-    std::vector<std::uint8_t> be(count * 8);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      (*l2)[i2 + k] = entries[done + k];
-      store_be64(be.data() + k * 8, entries[done + k]);
+  const MapKind target = entry == 0 ? MapKind::unallocated : MapKind::zero;
+  auto guard = co_await lock_alloc();
+  for (std::uint64_t pos = lo; pos < hi;) {
+    VMIC_CO_TRY(ext, co_await map_range(pos, hi - pos));
+    const std::uint64_t clusters = div_ceil(ext.len, cs);
+    if (ext.kind != target) {
+      // Extents from map_range never cross an L2 boundary.
+      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(
+          pos, std::vector<std::uint64_t>(clusters, entry)));
     }
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, be));
-    done += count;
+    VMIC_CO_TRY_VOID(co_await free_extent(pos, ext));
+    pos += clusters * cs;
   }
   co_return ok_result();
 }
@@ -1674,43 +1541,10 @@ sim::Task<Result<void>> Qcow2Device::write_zeroes(std::uint64_t off,
     std::vector<std::uint8_t> zeros(lo - off, 0);
     VMIC_CO_TRY_VOID(co_await write(off, zeros));
   }
-  // Whole clusters: flip to the zero flag, releasing any data clusters.
-  // Metadata mutation throughout — hold the allocator mutex for the loop
-  // (the head/tail write() fragments above/below must stay outside it:
-  // cow_write acquires it itself).
-  {
-    auto guard = co_await lock_alloc();
-    std::uint64_t pos = lo;
-    while (pos < hi) {
-      VMIC_CO_TRY(ext, co_await map_range(pos, hi - pos));
-      const std::uint64_t clusters = div_ceil(ext.len, cs);
-      if (ext.kind != MapKind::zero) {
-        // Extents from map_range never cross an L2 boundary.
-        VMIC_CO_TRY_VOID(co_await set_l2_raw(pos, kFlagZero, clusters));
-      }
-      if (ext.kind == MapKind::data) {
-        // Barrier: the L2 dereference must be durable before the
-        // refcounts drop — the reverse order could persist the decrement
-        // alone and hand a still-referenced cluster to the allocator.
-        VMIC_CO_TRY_VOID(co_await file_->flush());
-        const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                                ly_.l2_index(pos) * 8,
-                            /*run=*/false};
-        VMIC_CO_TRY_VOID(
-            co_await free_clusters(ext.host_off, clusters, slots));
-        data_clusters_ -= clusters;
-      } else if (ext.kind == MapKind::compressed) {
-        // Same dereference-before-free barrier; the payload's host
-        // cluster only frees when its last sharer leaves.
-        VMIC_CO_TRY_VOID(co_await file_->flush());
-        const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                                ly_.l2_index(pos) * 8,
-                            /*run=*/false};
-        VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
-      }
-      pos += clusters * cs;
-    }
-  }
+  // Whole clusters: flip to the zero flag, releasing what they held (the
+  // head/tail write() fragments above/below stay outside the allocator
+  // mutex the unmap loop holds: the store path acquires it itself).
+  VMIC_CO_TRY_VOID(co_await unmap_clusters(lo, hi, kFlagZero));
   // Tail fragment.
   if (off + len > hi) {
     std::vector<std::uint8_t> zeros(off + len - hi, 0);
@@ -1735,32 +1569,7 @@ sim::Task<Result<void>> Qcow2Device::discard(std::uint64_t off,
     // backing data; leave zero clusters instead (QEMU does the same).
     co_return co_await write_zeroes(lo, hi - lo);
   }
-  auto guard = co_await lock_alloc();
-  std::uint64_t pos = lo;
-  while (pos < hi) {
-    VMIC_CO_TRY(ext, co_await map_range(pos, hi - pos));
-    const std::uint64_t clusters = div_ceil(ext.len, cs);
-    if (ext.kind != MapKind::unallocated) {
-      VMIC_CO_TRY_VOID(co_await set_l2_raw(pos, 0, clusters));
-    }
-    if (ext.kind == MapKind::data) {
-      // Barrier: dereference before free (same argument as write_zeroes).
-      VMIC_CO_TRY_VOID(co_await file_->flush());
-      const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                              ly_.l2_index(pos) * 8,
-                          /*run=*/false};
-      VMIC_CO_TRY_VOID(co_await free_clusters(ext.host_off, clusters, slots));
-      data_clusters_ -= clusters;
-    } else if (ext.kind == MapKind::compressed) {
-      VMIC_CO_TRY_VOID(co_await file_->flush());
-      const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                              ly_.l2_index(pos) * 8,
-                          /*run=*/false};
-      VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
-    }
-    pos += clusters * cs;
-  }
-  co_return ok_result();
+  co_return co_await unmap_clusters(lo, hi, 0);
 }
 
 sim::Task<Result<void>> Qcow2Device::resize(std::uint64_t new_size) {

@@ -152,12 +152,12 @@ class Qcow2Device final : public block::BlockDevice {
   /// are stored as LZSS payloads packed sector-aligned into shared host
   /// clusters (the qcow2 compressed bit/offset-mask layout), so the cache
   /// file's physical footprint — what the quota bounds — shrinks.
-  /// Incompressible clusters fall back to the plain path. Ignored (stays
-  /// off) on journaled images: the refcount journal's verified-recompute
-  /// replay assumes one reference slot per cluster run, which shared
-  /// compressed host clusters break. No effect below 2 KiB clusters
-  /// (payloads are sector-granular; nothing can shrink).
-  void set_cor_compress(bool on);
+  /// Incompressible clusters fall back to the plain path. Errc::unsupported
+  /// on journaled images (compression stays off): the refcount journal's
+  /// verified-recompute replay assumes one reference slot per cluster
+  /// run, which shared compressed host clusters break. No effect below
+  /// 2 KiB clusters (payloads are sector-granular; nothing can shrink).
+  Result<void> set_cor_compress(bool on);
   [[nodiscard]] bool cor_compress() const noexcept { return cor_compress_; }
 
   /// Physical-vs-logical footprint of compressed clusters (an L1/L2 walk;
@@ -350,15 +350,17 @@ class Qcow2Device final : public block::BlockDevice {
   /// refcount write per run.
   sim::Task<Result<void>> free_clusters(std::uint64_t host_off,
                                         std::uint64_t count, RefHint hint);
-  /// Set raw L2 entry values for `count` clusters from `vaddr` (no
-  /// COPIED/offset packing — caller passes the exact entry).
-  sim::Task<Result<void>> set_l2_raw(std::uint64_t vaddr, std::uint64_t entry,
-                                     std::uint64_t count);
-  /// Set one distinct raw L2 entry per cluster for a virtually-contiguous
-  /// run from `vaddr`. One metadata write per touched L2 table, not per
-  /// entry (the compressed fill path publishes whole runs).
+  /// The one L2 setter: one raw entry per cluster (the exact value — no
+  /// COPIED/offset packing) for a run from `vaddr` inside one L2 table,
+  /// published with one metadata write. Caller holds alloc_mutex_.
   sim::Task<Result<void>> set_l2_raw_run(std::uint64_t vaddr,
-                                         std::span<const std::uint64_t> entries);
+                                         std::vector<std::uint64_t> entries);
+  /// The L2 slot that maps `vaddr` (its table must exist): journal records
+  /// name it so replay can verify the reference.
+  [[nodiscard]] RefHint l2_slot(std::uint64_t vaddr) const {
+    return {(l1_[ly_.l1_index(vaddr)] & kOffsetMask) +
+            ly_.l2_index(vaddr) * 8};
+  }
 
   // Address translation / metadata.
   sim::Task<Result<std::vector<std::uint64_t>*>> load_l2(
@@ -367,9 +369,6 @@ class Qcow2Device final : public block::BlockDevice {
   /// Make sure the L2 table covering `vaddr` exists (allocating it before
   /// any data clusters keeps quota failures leak-free).
   sim::Task<Result<void>> ensure_l2_table(std::uint64_t vaddr);
-  sim::Task<Result<void>> set_l2_entries(std::uint64_t vaddr,
-                                         std::uint64_t host_off,
-                                         std::uint64_t count);
 
   /// Make sure the on-disk header carries the dirty bit before the first
   /// metadata mutation of this session (pwrite + flush barrier, then the
@@ -437,13 +436,55 @@ class Qcow2Device final : public block::BlockDevice {
                                               std::span<std::uint8_t> dst);
   sim::Task<Result<void>> cor_store(std::uint64_t vaddr,
                                     std::span<const std::uint8_t> data);
-  /// Store a run of cluster-aligned fill clusters as compressed payloads
-  /// (plain single clusters where incompressible). Batched like the plain
-  /// run store: all payloads land, then ONE flush barrier, then all L2
-  /// entries publish — per-cluster flushes would make compression pay a
-  /// positioning cost per 4 KiB and dominate the fill latency.
-  sim::Task<Result<void>> cor_store_compressed_run(
-      std::uint64_t vaddr, std::span<const std::uint8_t> data);
+
+  // The cluster store (DESIGN.md "Cluster store"): every cluster this
+  // device maps goes through store_run, every one it unmaps through
+  // unmap_clusters or store_run's replacement of a compressed cluster.
+
+  /// Widen [vaddr, vaddr + data.size()) to whole clusters for store_run.
+  /// A run aligned at both ends is `data` itself; otherwise `staging`
+  /// takes `data` plus edges from what the clusters map now (`old`): the
+  /// backing chain when unallocated, zeros when zero-flagged, the old
+  /// payload when compressed.
+  sim::Task<Result<std::span<const std::uint8_t>>> stage_run(
+      std::uint64_t vaddr, std::span<const std::uint8_t> data,
+      const Extent& old, std::vector<std::uint8_t>& staging);
+  /// One piece of a store run: bytes that land at one file offset. A
+  /// plain run is a single piece of whole clusters; in compressed mode
+  /// each cluster is a piece, plain or a sector-padded payload.
+  struct Piece {
+    std::uint64_t vaddr = 0;              ///< guest address of its first cluster
+    std::span<const std::uint8_t> bytes;  ///< what lands at `off`
+    std::uint64_t sectors = 0;            ///< payload sectors; 0 = plain
+    std::uint64_t off = 0;                ///< file offset, set by place()
+    std::unique_ptr<std::uint8_t[]> payload;  ///< owns `bytes` if compressed
+  };
+  /// Store the cluster-aligned run `src` at `vaddr`, inside one L2 table,
+  /// over clusters that map as `old` (unallocated, zero-flagged, or one
+  /// compressed cluster): plan each cluster as a compressed payload or
+  /// plain, place the run under one lock hold, write the file-contiguous
+  /// pieces, flush once, then publish with set_l2_raw_run and drop what
+  /// `old` referenced — or, if the write or flush failed, free every
+  /// reference the run took. Returns the clusters published: all of
+  /// them, or one when a cache's plain run meets the quota edge (the
+  /// caller stores the rest next). A compressed run whose placement
+  /// fails part-way publishes what it placed and returns the error.
+  sim::Task<Result<std::uint64_t>> store_run(std::uint64_t vaddr,
+                                             std::span<const std::uint8_t> src,
+                                             const Extent& old, bool compress);
+  /// Find room for one planned piece (caller holds alloc_mutex_): a plain
+  /// piece allocates its clusters, a payload packs into the open packing
+  /// cluster.
+  sim::Task<Result<void>> place(Piece& p);
+  /// Drop what a just-replaced extent at `vaddr` referenced, behind a
+  /// flush barrier; a no-op unless it is data or compressed. Caller holds
+  /// alloc_mutex_.
+  sim::Task<Result<void>> free_extent(std::uint64_t vaddr, const Extent& ext);
+  /// Point whole clusters [lo, hi) at `entry` (kFlagZero, or 0 to
+  /// deallocate): dereference, flush, free — per extent.
+  sim::Task<Result<void>> unmap_clusters(std::uint64_t lo, std::uint64_t hi,
+                                         std::uint64_t entry);
+
   /// Serve a read that maps to a compressed extent: load + decompress the
   /// payload, copy the requested sub-range.
   sim::Task<Result<void>> read_compressed(std::uint64_t pos,
@@ -452,25 +493,15 @@ class Qcow2Device final : public block::BlockDevice {
   /// Bump the refcount of one already-allocated host cluster by one (a
   /// second compressed payload packed into it). Caller holds alloc_mutex_.
   sim::Task<Result<void>> incref_cluster(std::uint64_t cluster_idx);
-  /// Decompress-modify-write: replace a compressed cluster with a plain
-  /// data cluster carrying `sub` at `pos` (guest write / zero path).
-  sim::Task<Result<void>> rewrite_compressed(std::uint64_t pos,
-                                             const Extent& ext,
-                                             std::span<const std::uint8_t> sub);
   /// Drop one compressed L2 reference: decrement the payload's host
   /// cluster (freeing it when the last sharer leaves). Caller holds
-  /// alloc_mutex_ and already published the new L2 entry + barrier.
+  /// alloc_mutex_, and the entry is unreachable: durably dereferenced
+  /// (free_extent) or never published (a failed store).
   sim::Task<Result<void>> free_compressed_entry(std::uint64_t entry,
                                                 RefHint hint);
   /// Disable population permanently for this open (first failure wins;
   /// concurrent failures count once).
   void cor_stop(Errc cause);
-
-  // Copy-on-write allocation for guest writes; `fill_from_backing` is
-  // false when overwriting zero-flagged clusters (edges fill with zeros).
-  sim::Task<Result<void>> cow_write(std::uint64_t vaddr,
-                                    std::span<const std::uint8_t> src,
-                                    bool fill_from_backing = true);
 
   sim::Task<Result<void>> read_from_backing(std::uint64_t vaddr,
                                             std::span<std::uint8_t> dst);

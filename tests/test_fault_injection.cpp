@@ -3,7 +3,11 @@
 // to pass-through reads rather than failing the guest.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "io/mem_store.hpp"
 #include "qcow2/chain.hpp"
@@ -232,6 +236,200 @@ TEST(FaultInjection, CorruptL1PointerDetectedByCheck) {
   auto chk = sync_wait(q->check());
   ASSERT_TRUE(chk.ok());
   EXPECT_GT(chk->corruptions, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Single-call failure sweep: every failure exit of the cluster-store path
+// must free what it took. Two operations run over a fresh image whose file
+// fails exactly one call — each pwrite index and each flush index of a
+// fault-free run in turn — then a follow-up operation, and the image must
+// still check clean (no leaked cluster, no corruption).
+// --------------------------------------------------------------------------
+
+/// Counts the pwrite and flush calls of one file and fails exactly one:
+/// call number `at` (0-based) of kind `kind`; at < 0 fails none.
+struct OneFault {
+  enum class Kind { pwrite, flush };
+  Kind kind = Kind::pwrite;
+  std::int64_t at = -1;
+  std::int64_t pwrites = 0;
+  std::int64_t flushes = 0;
+};
+
+class OneFaultBackend final : public io::BlockBackend {
+ public:
+  OneFaultBackend(io::BackendPtr inner, OneFault* fault)
+      : inner_(std::move(inner)), fault_(fault) {}
+
+  sim::Task<Result<void>> pread(std::uint64_t off,
+                                std::span<std::uint8_t> dst) override {
+    co_return co_await inner_->pread(off, dst);
+  }
+  sim::Task<Result<void>> pwrite(std::uint64_t off,
+                                 std::span<const std::uint8_t> src) override {
+    if (hit(OneFault::Kind::pwrite, fault_->pwrites++)) co_return Errc::io_error;
+    co_return co_await inner_->pwrite(off, src);
+  }
+  sim::Task<Result<void>> flush() override {
+    if (hit(OneFault::Kind::flush, fault_->flushes++)) co_return Errc::io_error;
+    co_return co_await inner_->flush();
+  }
+  sim::Task<Result<void>> truncate(std::uint64_t s) override {
+    co_return co_await inner_->truncate(s);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_->size(); }
+  [[nodiscard]] std::string describe() const override { return "one-fault"; }
+
+ private:
+  [[nodiscard]] bool hit(OneFault::Kind kind, std::int64_t index) const {
+    return fault_->kind == kind && fault_->at == index;
+  }
+
+  io::BackendPtr inner_;
+  OneFault* fault_;
+};
+
+/// Directory that puts a OneFaultBackend under one file.
+class OneFaultStore final : public io::ImageDirectory {
+ public:
+  OneFaultStore(io::MemImageStore& inner, std::string file, OneFault* fault)
+      : inner_(inner), file_(std::move(file)), fault_(fault) {}
+
+  Result<io::BackendPtr> open_file(const std::string& name,
+                                   bool writable) override {
+    VMIC_TRY(be, inner_.open_file(name, writable));
+    if (name != file_) return io::BackendPtr{std::move(be)};
+    return io::BackendPtr{std::make_unique<OneFaultBackend>(std::move(be),
+                                                            fault_)};
+  }
+  Result<io::BackendPtr> create_file(const std::string& name) override {
+    return inner_.create_file(name);
+  }
+  [[nodiscard]] bool exists(const std::string& name) const override {
+    return inner_.exists(name);
+  }
+
+ private:
+  io::MemImageStore& inner_;
+  std::string file_;
+  OneFault* fault_;
+};
+
+enum class StoreOp { cow_write, cor_fill, compressed_fill };
+
+constexpr std::uint64_t kSweepImage = 1_MiB;
+
+/// Base content: three 4 KiB clusters in four are 64-byte runs of one
+/// byte value (compressible), every fourth is noise.
+std::vector<std::uint8_t> sweep_base() {
+  std::vector<std::uint8_t> v(kSweepImage);
+  std::uint64_t x = 0x5eed;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    v[i] = (i >> 12) % 4 != 3 && i % 64 != 0 ? v[i - 1]
+                                             : static_cast<std::uint8_t>(x >> 56);
+  }
+  return v;
+}
+
+/// Fresh images for `op` in `mem`; returns the file the fault targets.
+std::string make_sweep_images(StoreOp op, io::MemImageStore& mem,
+                              const std::vector<std::uint8_t>& base) {
+  if (op == StoreOp::cow_write) {
+    auto be = mem.create_file("img.qcow2");
+    EXPECT_TRUE(be.ok());
+    qcow2::Qcow2Device::CreateOptions opt;
+    opt.virtual_size = kSweepImage;
+    opt.cluster_bits = 16;
+    EXPECT_TRUE(sync_wait(qcow2::Qcow2Device::create(**be, opt)).ok());
+    return "img.qcow2";
+  }
+  auto be = mem.create_file("base.img");
+  EXPECT_TRUE(be.ok());
+  EXPECT_TRUE(sync_wait((*be)->pwrite(0, base)).ok());
+  EXPECT_TRUE(sync_wait(qcow2::create_cache_image(
+                            mem, "vmi.cache", "base.img", 8_MiB,
+                            {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  return "vmi.cache";
+}
+
+/// Two operations (either may fail), then a follow-up that must succeed,
+/// then check(). `counted` receives the pwrite/flush counts after the two
+/// operations.
+void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
+  const auto base = sweep_base();
+  io::MemImageStore mem;
+  const std::string file = make_sweep_images(op, mem, base);
+  OneFaultStore store{mem, file, fault};
+  auto dev = sync_wait(qcow2::open_image(store, file));
+  ASSERT_TRUE(dev.ok());
+  auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+  ASSERT_NE(q, nullptr);
+  std::vector<std::uint8_t> buf;
+  if (op == StoreOp::cow_write) {
+    const std::vector<std::uint8_t> data(4_KiB, 0xA1);
+    (void)sync_wait(q->write(0, data));
+    (void)sync_wait(q->write(512_KiB, data));
+    *counted = *fault;
+    const std::vector<std::uint8_t> more(4_KiB, 0xB2);
+    ASSERT_TRUE(sync_wait(q->write(256_KiB, more)).ok());
+    buf.resize(more.size());
+    ASSERT_TRUE(sync_wait(q->read(256_KiB, buf)).ok());
+    EXPECT_EQ(buf, more);
+  } else {
+    if (op == StoreOp::compressed_fill) {
+      ASSERT_TRUE(q->set_cor_compress(true).ok());
+    }
+    // A failed store stops population; the guest reads still succeed.
+    for (const auto& [off, len] :
+         {std::pair<std::uint64_t, std::uint64_t>{1000, 6_KiB},
+          {512_KiB + 3000, 9000}}) {
+      buf.resize(len);
+      ASSERT_TRUE(sync_wait(q->read(off, buf)).ok());
+      ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + off, len));
+    }
+    *counted = *fault;
+    buf.resize(12_KiB);
+    ASSERT_TRUE(sync_wait(q->read(256_KiB + 100, buf)).ok());
+    ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + 256_KiB + 100,
+                             buf.size()));
+  }
+  auto chk = sync_wait(q->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                            << " corrupt=" << chk->corruptions;
+}
+
+void sweep_single_faults(StoreOp op) {
+  OneFault none;
+  OneFault total;
+  ASSERT_NO_FATAL_FAILURE(run_store_ops(op, &none, &total));
+  ASSERT_GT(total.pwrites, 3);
+  ASSERT_GT(total.flushes, 1);
+  for (const auto kind : {OneFault::Kind::pwrite, OneFault::Kind::flush}) {
+    const std::int64_t n =
+        kind == OneFault::Kind::pwrite ? total.pwrites : total.flushes;
+    for (std::int64_t at = 0; at < n; ++at) {
+      SCOPED_TRACE((kind == OneFault::Kind::pwrite ? "pwrite " : "flush ") +
+                   std::to_string(at));
+      OneFault fault{.kind = kind, .at = at};
+      OneFault counted;
+      ASSERT_NO_FATAL_FAILURE(run_store_ops(op, &fault, &counted));
+    }
+  }
+}
+
+TEST(FaultInjection, CowWriteFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::cow_write);
+}
+
+TEST(FaultInjection, CorFillFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::cor_fill);
+}
+
+TEST(FaultInjection, CompressedCorFillFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::compressed_fill);
 }
 
 }  // namespace

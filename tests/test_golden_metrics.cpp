@@ -568,7 +568,9 @@ void expect_quota_edge_pins(bool compress, const QuotaEdgePins& p) {
   ASSERT_TRUE(dev.ok());
   auto* cache = dynamic_cast<qcow2::Qcow2Device*>((*dev)->backing());
   ASSERT_NE(cache, nullptr);
-  if (compress) cache->set_cor_compress(true);
+  if (compress) {
+    ASSERT_TRUE(cache->set_cor_compress(true).ok());
+  }
 
   std::vector<std::uint8_t> buf;
   Rng script{0x9a07a};

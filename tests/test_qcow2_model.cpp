@@ -105,7 +105,7 @@ void run_differential(const ModelParams& p) {
   if (p.compress) {
     auto* c0 = dynamic_cast<Qcow2Device*>((*dev)->backing());
     ASSERT_NE(c0, nullptr);
-    c0->set_cor_compress(true);
+    ASSERT_TRUE(c0->set_cor_compress(true).ok());
   }
 
   // The flat reference: what a correct virtual disk must read as.
@@ -294,7 +294,7 @@ TEST(Qcow2Model, CompressedSurvivesReopen) {
     ASSERT_TRUE(dev.ok()) << to_string(dev.error());
     auto* cache = dynamic_cast<Qcow2Device*>((*dev)->backing());
     ASSERT_NE(cache, nullptr);
-    cache->set_cor_compress(true);
+    ASSERT_TRUE(cache->set_cor_compress(true).ok());
     std::vector<std::uint8_t> buf(kSize, 0);
     ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());  // fill everything
     ASSERT_EQ(0, std::memcmp(buf.data(), base_data.data(), kSize));
@@ -346,7 +346,7 @@ TEST(Qcow2Model, CorruptCompressedPayloadRejected) {
     ASSERT_TRUE(dev.ok()) << to_string(dev.error());
     auto* cache = dynamic_cast<Qcow2Device*>((*dev)->backing());
     ASSERT_NE(cache, nullptr);
-    cache->set_cor_compress(true);
+    ASSERT_TRUE(cache->set_cor_compress(true).ok());
     std::vector<std::uint8_t> buf(kSize, 0);
     ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());  // fill everything
     ASSERT_TRUE(sync_wait((*dev)->close()).ok());
@@ -404,6 +404,62 @@ TEST(Qcow2Model, CorruptCompressedPayloadRejected) {
   ASSERT_TRUE(sync_wait((*dev)->close()).ok());
 }
 
+TEST(Qcow2Model, CompressRefusedOnJournaledImage) {
+  // The refcount journal's replay assumes one reference per recorded
+  // slot, which shared packing clusters break: turning compression on
+  // must fail loudly, and fills must stay plain.
+  MemImageStore store;
+  auto base = store.create_file("base.img");
+  ASSERT_TRUE(base.ok());
+  const auto base_data = mixed_bytes(31, 256_KiB);
+  ASSERT_TRUE(sync_wait((*base)->pwrite(0, base_data)).ok());
+  ASSERT_TRUE(sync_wait(create_cache_image(
+                  store, "vmi.cache", "base.img", 4_MiB,
+                  {.cluster_bits = 12, .virtual_size = 0,
+                   .journal_sectors = 8}))
+                  .ok());
+  auto dev = sync_wait(open_image(store, "vmi.cache"));
+  ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+  auto* cache = dynamic_cast<Qcow2Device*>(dev->get());
+  ASSERT_NE(cache, nullptr);
+  ASSERT_TRUE(cache->has_journal());
+  EXPECT_EQ(cache->set_cor_compress(true).error(), Errc::unsupported);
+  EXPECT_FALSE(cache->cor_compress());
+  EXPECT_TRUE(cache->set_cor_compress(false).ok());
+  std::vector<std::uint8_t> buf(base_data.size(), 0);
+  ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());
+  EXPECT_EQ(buf, base_data);
+  auto cst = sync_wait(cache->compression_stats());
+  ASSERT_TRUE(cst.ok());
+  EXPECT_EQ(cst->compressed_clusters, 0u);
+  ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+}
+
+TEST(Qcow2Model, CompressAcceptedOnPlainCache) {
+  MemImageStore store;
+  auto base = store.create_file("base.img");
+  ASSERT_TRUE(base.ok());
+  const auto base_data = mixed_bytes(32, 256_KiB);
+  ASSERT_TRUE(sync_wait((*base)->pwrite(0, base_data)).ok());
+  ASSERT_TRUE(sync_wait(create_cache_image(
+                  store, "vmi.cache", "base.img", 4_MiB,
+                  {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  auto dev = sync_wait(open_image(store, "vmi.cache"));
+  ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+  auto* cache = dynamic_cast<Qcow2Device*>(dev->get());
+  ASSERT_NE(cache, nullptr);
+  ASSERT_TRUE(cache->set_cor_compress(true).ok());
+  EXPECT_TRUE(cache->cor_compress());
+  std::vector<std::uint8_t> buf(base_data.size(), 0);
+  ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());
+  EXPECT_EQ(buf, base_data);
+  auto cst = sync_wait(cache->compression_stats());
+  ASSERT_TRUE(cst.ok());
+  EXPECT_GT(cst->compressed_clusters, 0u);
+  ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+}
+
 /// A standalone image whose clusters are compressed payloads packed into
 /// shared host clusters, the layout `qemu-img convert -c` writes: a cache
 /// filled by compressed copy-on-read from `base_data`, whose header area
@@ -423,7 +479,7 @@ void make_compressed_image(MemImageStore& store, const std::string& name,
     ASSERT_TRUE(dev.ok()) << to_string(dev.error());
     auto* cache = dynamic_cast<Qcow2Device*>(dev->get());
     ASSERT_NE(cache, nullptr);
-    cache->set_cor_compress(true);
+    ASSERT_TRUE(cache->set_cor_compress(true).ok());
     std::vector<std::uint8_t> buf(base_data.size(), 0);
     ASSERT_TRUE(sync_wait((*dev)->read(0, buf)).ok());
     ASSERT_TRUE(sync_wait((*dev)->close()).ok());
