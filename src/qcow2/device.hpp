@@ -453,7 +453,7 @@ class Qcow2Device final : public block::BlockDevice {
   /// plain run is a single piece of whole clusters; in compressed mode
   /// each cluster is a piece, plain or a sector-padded payload.
   struct Piece {
-    std::uint64_t vaddr = 0;              ///< guest address of its first cluster
+    std::uint64_t vaddr = 0;              ///< guest address of 1st cluster
     std::span<const std::uint8_t> bytes;  ///< what lands at `off`
     std::uint64_t sectors = 0;            ///< payload sectors; 0 = plain
     std::uint64_t off = 0;                ///< file offset, set by place()

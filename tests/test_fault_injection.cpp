@@ -267,11 +267,15 @@ class OneFaultBackend final : public io::BlockBackend {
   }
   sim::Task<Result<void>> pwrite(std::uint64_t off,
                                  std::span<const std::uint8_t> src) override {
-    if (hit(OneFault::Kind::pwrite, fault_->pwrites++)) co_return Errc::io_error;
+    if (hit(OneFault::Kind::pwrite, fault_->pwrites++)) {
+      co_return Errc::io_error;
+    }
     co_return co_await inner_->pwrite(off, src);
   }
   sim::Task<Result<void>> flush() override {
-    if (hit(OneFault::Kind::flush, fault_->flushes++)) co_return Errc::io_error;
+    if (hit(OneFault::Kind::flush, fault_->flushes++)) {
+      co_return Errc::io_error;
+    }
     co_return co_await inner_->flush();
   }
   sim::Task<Result<void>> truncate(std::uint64_t s) override {
@@ -326,8 +330,8 @@ std::vector<std::uint8_t> sweep_base() {
   std::uint64_t x = 0x5eed;
   for (std::size_t i = 0; i < v.size(); ++i) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
-    v[i] = (i >> 12) % 4 != 3 && i % 64 != 0 ? v[i - 1]
-                                             : static_cast<std::uint8_t>(x >> 56);
+    const bool run = (i >> 12) % 4 != 3 && i % 64 != 0;
+    v[i] = run ? v[i - 1] : static_cast<std::uint8_t>(x >> 56);
   }
   return v;
 }

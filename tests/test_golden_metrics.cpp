@@ -467,7 +467,8 @@ TEST(GoldenMetrics, CorChainExplorePinnedValues) {
 }
 
 TEST(GoldenMetrics, CompressedCorChainExplorePinnedValues) {
-  expect_cor_sweep_pins(true, {117u, 18u, 8791998288500834709ull, 4638u, 1546u});
+  expect_cor_sweep_pins(true,
+                        {117u, 18u, 8791998288500834709ull, 4638u, 1546u});
 }
 
 // Quota-edge pins: a cache filled past its quota by a fixed script of
