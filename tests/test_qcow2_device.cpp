@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "block/raw.hpp"
@@ -608,6 +609,269 @@ TEST(Qcow2CraftedHeader, JournalRegionPastEndOfFileRefused) {
                 [](SparseBuffer& b) { poke_be64(b, kSizeField, 1ull << 40); },
                 /*journal_sectors=*/16),
             Errc::corrupt);
+}
+
+// --------------------------------------------------------------------------
+// Pinned create/open I/O. Image creation and open must issue the same
+// backend calls (kind, offset, length, in order) and write the same bytes
+// whatever host-side shortcuts they take; every value below was captured
+// from the implementation that visited every refcount-block slot and
+// decoded the tables inside the open coroutine.
+// --------------------------------------------------------------------------
+
+/// Backend calls of one file: counts per kind plus an FNV-1a digest over
+/// (kind, offset, length) of every call in order.
+struct IoLog {
+  std::uint64_t preads = 0;
+  std::uint64_t pwrites = 0;
+  std::uint64_t flushes = 0;
+  std::uint64_t truncates = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+
+  void note(std::uint8_t kind, std::uint64_t off, std::uint64_t len) {
+    std::uint8_t rec[17];
+    rec[0] = kind;
+    store_be64(rec + 1, off);
+    store_be64(rec + 9, len);
+    for (const std::uint8_t b : rec) {
+      digest ^= b;
+      digest *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Forwards to `inner` and records every call into `log`.
+class RecordingBackend final : public io::BlockBackend {
+ public:
+  RecordingBackend(io::BlockBackend& inner, IoLog& log)
+      : inner_(inner), log_(log) {}
+  RecordingBackend(io::BackendPtr owned, IoLog& log)
+      : owned_(std::move(owned)), inner_(*owned_), log_(log) {}
+
+  sim::Task<Result<void>> pread(std::uint64_t off,
+                                std::span<std::uint8_t> dst) override {
+    ++log_.preads;
+    log_.note('r', off, dst.size());
+    co_return co_await inner_.pread(off, dst);
+  }
+  sim::Task<Result<void>> pwrite(std::uint64_t off,
+                                 std::span<const std::uint8_t> src) override {
+    ++log_.pwrites;
+    log_.note('w', off, src.size());
+    co_return co_await inner_.pwrite(off, src);
+  }
+  sim::Task<Result<void>> flush() override {
+    ++log_.flushes;
+    log_.note('f', 0, 0);
+    co_return co_await inner_.flush();
+  }
+  sim::Task<Result<void>> truncate(std::uint64_t s) override {
+    ++log_.truncates;
+    log_.note('t', s, 0);
+    co_return co_await inner_.truncate(s);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  [[nodiscard]] bool read_only() const noexcept override {
+    return inner_.read_only();
+  }
+  [[nodiscard]] std::string describe() const override { return "recording"; }
+
+ private:
+  io::BackendPtr owned_;
+  io::BlockBackend& inner_;
+  IoLog& log_;
+};
+
+std::uint64_t buffer_digest(const SparseBuffer& b) {
+  std::vector<std::uint8_t> all(b.size());
+  b.read(0, all);
+  return fnv1a(all);
+}
+
+struct CreatePin {
+  const char* name;
+  std::uint32_t cluster_bits;
+  std::uint64_t virtual_size;
+  std::uint64_t cache_quota;
+  std::uint32_t journal_sectors;
+  const char* backing;
+  // Pinned results of create.
+  std::uint64_t file_digest;
+  std::uint64_t file_size;
+  std::uint64_t pwrites;
+  std::uint64_t flushes;
+  std::uint64_t truncates;
+  std::uint64_t create_log;
+  // Pinned calls of a writable open (no backing chain), check, and close.
+  std::uint64_t open_preads;
+  std::uint64_t open_log;
+};
+
+constexpr CreatePin kCreatePins[] = {
+    // name, bits, size, quota, journal, backing, then the pinned values.
+    {"plain9", 9, 16_MiB, 0, 0, "",
+     0x6a19a97ded1b3aa7ull, 7680, 4, 1, 1, 0x32a78ede09d5f22bull, 4,
+     0x91e71f59d17a2af1ull},
+    {"cache9", 9, 16_MiB, 8_MiB, 0, "base.img",
+     0x88ff325685f7a1c0ull, 7168, 4, 1, 1, 0xa54454205be64e5bull, 4,
+     0x3552fe25fb84cf2eull},
+    {"journal9", 9, 16_MiB, 0, 64, "",
+     0xf78ad0037fcf5b69ull, 40448, 5, 1, 1, 0x86f8a4520cf5c5eaull, 5,
+     0xea09c67a0b47bdbdull},
+    {"backing9", 9, 16_MiB, 0, 0, "base.img",
+     0x3490e588dbdfd37ull, 7680, 4, 1, 1, 0x32a78ede09d5f22bull, 4,
+     0x91e71f59d17a2af1ull},
+    // 648 initial clusters at 512 B: three refcount blocks, the last one
+    // partial.
+    {"multiblock9", 9, 1024_MiB, 0, 0, "",
+     0xafb7fe35571b4b9aull, 331776, 6, 1, 1, 0x495dc36fc3b708b1ull, 6,
+     0x14463d56e345d35cull},
+    {"plain12", 12, 16_MiB, 0, 0, "",
+     0xb8eab8f3c1bfb279ull, 16384, 4, 1, 1, 0x84b7c95c68a6364bull, 4,
+     0x74d473be84e988c9ull},
+    {"cache12", 12, 16_MiB, 8_MiB, 0, "base.img",
+     0xa48d286168afcabeull, 16384, 4, 1, 1, 0x84b7c95c68a6364bull, 4,
+     0xa2a0b021fe02a930ull},
+    {"journal12", 12, 16_MiB, 0, 64, "",
+     0xaa8ada55cc13050dull, 49152, 5, 1, 1, 0x44bb63f004d264cull, 5,
+     0xad38c842ea1d50bull},
+    {"backing12", 12, 16_MiB, 0, 0, "base.img",
+     0xa326909f6ab8f3d5ull, 16384, 4, 1, 1, 0x84b7c95c68a6364bull, 4,
+     0x74d473be84e988c9ull},
+    {"plain16", 16, 16_MiB, 0, 0, "",
+     0x6391cc7d423c2ceaull, 262144, 4, 1, 1, 0xf6479ed9de2d16f3ull, 4,
+     0x26dd0c5635574e7dull},
+    {"cache16", 16, 16_MiB, 8_MiB, 0, "base.img",
+     0xd798c7c9fcf60e59ull, 262144, 4, 1, 1, 0xf6479ed9de2d16f3ull, 4,
+     0x44a622a7da485024ull},
+    {"journal16", 16, 16_MiB, 0, 64, "",
+     0xe5c6393e11aec23dull, 327680, 5, 1, 1, 0x22b839ffcb23db66ull, 5,
+     0x8aa7d0af1fa677e1ull},
+    {"backing16", 16, 16_MiB, 0, 0, "base.img",
+     0xe36c509aff28d85aull, 262144, 4, 1, 1, 0xf6479ed9de2d16f3ull, 4,
+     0x26dd0c5635574e7dull},
+};
+
+TEST(Qcow2Create, PinnedFileBytesAndCalls) {
+  for (const CreatePin& pin : kCreatePins) {
+    SCOPED_TRACE(pin.name);
+    MemImageStore store;
+    auto be = store.create_file("img");
+    ASSERT_TRUE(be.ok());
+    IoLog log;
+    {
+      RecordingBackend rec(**be, log);
+      Qcow2Device::CreateOptions opt;
+      opt.virtual_size = pin.virtual_size;
+      opt.cluster_bits = pin.cluster_bits;
+      opt.cache_quota = pin.cache_quota;
+      opt.journal_sectors = pin.journal_sectors;
+      opt.backing_file = pin.backing;
+      ASSERT_TRUE(sync_wait(Qcow2Device::create(rec, opt)).ok());
+    }
+    const SparseBuffer& buf = **store.buffer("img");
+    const std::uint64_t digest = buffer_digest(buf);
+    EXPECT_EQ(digest, pin.file_digest);
+    EXPECT_EQ(buf.size(), pin.file_size);
+    EXPECT_EQ(log.pwrites, pin.pwrites);
+    EXPECT_EQ(log.flushes, pin.flushes);
+    EXPECT_EQ(log.truncates, pin.truncates);
+    EXPECT_EQ(log.digest, pin.create_log);
+    if (std::string_view(pin.name) == "multiblock9") {
+      // The case covers more than one initial refcount block.
+      const std::uint64_t rt = peek_be64(buf, 48);
+      EXPECT_NE(peek_be64(buf, rt + 16), 0u);
+    }
+
+    IoLog open_log;
+    auto file = store.open_file("img", /*writable=*/true);
+    ASSERT_TRUE(file.ok());
+    block::OpenOptions oo;
+    oo.no_backing = true;
+    auto dev = sync_wait(Qcow2Device::open(
+        std::make_unique<RecordingBackend>(std::move(*file), open_log), oo));
+    ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+    auto* q = dynamic_cast<Qcow2Device*>(dev->get());
+    ASSERT_NE(q, nullptr);
+    auto chk = sync_wait(q->check());
+    ASSERT_TRUE(chk.ok());
+    EXPECT_TRUE(chk->clean());
+    ASSERT_TRUE(sync_wait(q->close()).ok());
+    EXPECT_EQ(open_log.preads, pin.open_preads);
+    EXPECT_EQ(open_log.digest, pin.open_log);
+  }
+}
+
+TEST(Qcow2Open, RefcountTableWithGapsAndAFinalSlotEntry) {
+  // A 64 MiB image at 4 KiB clusters holds 4 clusters (header, refcount
+  // table, refcount block 0, L1) and a one-cluster refcount table of 512
+  // entries. Hook two more refcount blocks into it, at clusters 4 and 5:
+  // one in slot 3 (slots 1 and 2 stay zero) and one in the table's final
+  // slot, which carries a stale count for a cluster far past the end of
+  // the file.
+  constexpr std::uint64_t kCs = 4_KiB;
+  MemImageStore store;
+  {
+    auto be = store.create_file("img");
+    ASSERT_TRUE(be.ok());
+    Qcow2Device::CreateOptions opt;
+    opt.virtual_size = 64_MiB;
+    opt.cluster_bits = 12;
+    ASSERT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
+  }
+  SparseBuffer& b = **store.buffer("img");
+  ASSERT_EQ(b.size(), 4 * kCs);
+  const std::uint64_t rt = peek_be64(b, 48);
+  const std::uint64_t block0 = peek_be64(b, rt);
+  std::vector<std::uint8_t> block(kCs, 0);
+  b.write(4 * kCs, block);
+  store_be16(block.data(), 1);
+  b.write(5 * kCs, block);
+  poke_be64(b, rt + 3 * 8, 4 * kCs);
+  poke_be64(b, rt + 511 * 8, 5 * kCs);
+  std::uint8_t one[2];
+  store_be16(one, 1);
+  b.write(block0 + 4 * 2, one);
+  b.write(block0 + 5 * 2, one);
+
+  IoLog log;  // the whole session: open, check, one write, close
+  {
+    auto file = store.open_file("img", /*writable=*/true);
+    ASSERT_TRUE(file.ok());
+    auto dev = sync_wait(Qcow2Device::open(
+        std::make_unique<RecordingBackend>(std::move(*file), log), {}));
+    ASSERT_TRUE(dev.ok()) << to_string(dev.error());
+    auto* q = dynamic_cast<Qcow2Device*>(dev->get());
+    ASSERT_NE(q, nullptr);
+    auto chk = sync_wait(q->check());
+    ASSERT_TRUE(chk.ok());
+    EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                              << " corrupt=" << chk->corruptions;
+    // The next allocations: an L2 table and a data cluster.
+    const auto data = pattern_bytes(9, kCs);
+    ASSERT_TRUE(sync_wait(q->write(8_MiB, data)).ok());
+    ASSERT_TRUE(sync_wait(q->close()).ok());
+  }
+  EXPECT_EQ(log.preads, 6u);
+  EXPECT_EQ(log.digest, 0xf2f1856b131b0b80ull);
+  const std::uint64_t l1 = peek_be64(b, 40);
+  const std::uint64_t l2 = peek_be64(b, l1 + 4 * 8) & kOffsetMask;
+  const std::uint64_t host = peek_be64(b, l2) & kOffsetMask;
+  EXPECT_EQ(l2, 6 * kCs);
+  EXPECT_EQ(host, 7 * kCs);
+  EXPECT_EQ(b.size(), 8 * kCs);
+  EXPECT_EQ(buffer_digest(b), 0x33050995a9222c88ull);
+
+  auto r = sync_wait(open_image(store, "img"));
+  ASSERT_TRUE(r.ok());
+  auto* q = dynamic_cast<Qcow2Device*>(r->get());
+  ASSERT_NE(q, nullptr);
+  auto chk = sync_wait(q->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean());
+  std::vector<std::uint8_t> out(kCs);
+  ASSERT_TRUE(sync_wait(q->read(8_MiB, out)).ok());
+  EXPECT_EQ(out, pattern_bytes(9, kCs));
 }
 
 }  // namespace
