@@ -10,7 +10,9 @@
 #include <cstring>
 #include <vector>
 
+#include "io/mem_backend.hpp"
 #include "io/mem_store.hpp"
+#include "obs/hub.hpp"
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
 #include "sim/task.hpp"
@@ -56,6 +58,28 @@ struct Rig {
     if (!r.ok()) std::abort();
   }
 };
+
+void BM_Qcow2_CreateOpen(benchmark::State& state) {
+  // One VM's image lifecycle as a deployment pays it: create a 1 GiB
+  // image, open it writable on a metrics hub (which loads the refcounts),
+  // close it. Its host cost should follow the metadata in use, not the
+  // cluster size.
+  const auto bits = static_cast<std::uint32_t>(state.range(0));
+  obs::Hub hub;
+  block::OpenOptions oo;
+  oo.hub = &hub;
+  for (auto _ : state) {
+    auto file = std::make_unique<io::MemBackend>();
+    qcow2::Qcow2Device::CreateOptions opt;
+    opt.virtual_size = 1 * GiB;
+    opt.cluster_bits = bits;
+    if (!sync_wait(qcow2::Qcow2Device::create(*file, opt)).ok()) std::abort();
+    auto dev = sync_wait(qcow2::Qcow2Device::open(std::move(file), oo));
+    if (!dev.ok() || !sync_wait((*dev)->close()).ok()) std::abort();
+    benchmark::DoNotOptimize(dev->get());
+  }
+}
+BENCHMARK(BM_Qcow2_CreateOpen)->Arg(9)->Arg(12)->Arg(16);
 
 void BM_Qcow2_AllocatingWrite(benchmark::State& state) {
   Rig rig(static_cast<std::uint32_t>(state.range(0)));

@@ -1,6 +1,7 @@
 #include "qcow2/device.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -20,6 +21,61 @@ namespace {
 void pack_be64(const std::uint64_t* src, std::size_t n,
                std::uint8_t* out) {
   for (std::size_t i = 0; i < n; ++i) store_be64(out + i * 8, src[i]);
+}
+
+// The loops below run outside coroutine bodies on purpose: GCC keeps a
+// coroutine's locals in its heap frame, so a per-entry loop written inline
+// in one costs a memory round trip per step.
+
+/// One past the last non-zero entry of `t`. Tables are sized for growth,
+/// so their tail is mostly zero: test 32 entries per branch (the OR loop
+/// vectorises), then find the entry.
+std::size_t nonzero_prefix(const std::vector<std::uint64_t>& t) {
+  const std::uint64_t* e = t.data();
+  std::size_t n = t.size();
+  while (n >= 32) {
+    std::uint64_t any = 0;
+    for (std::size_t k = n - 32; k < n; ++k) any |= e[k];
+    if (any != 0) break;
+    n -= 32;
+  }
+  while (n > 0 && e[n - 1] == 0) --n;
+  return n;
+}
+
+/// The bytes of `t`, for reading a table from disk straight into it.
+std::span<std::uint8_t> table_bytes(std::vector<std::uint64_t>& t) {
+  return {reinterpret_cast<std::uint8_t*>(t.data()), t.size() * 8};
+}
+
+/// Turn big-endian entries read into `t` into host order, in place (the
+/// inverse of pack_be64). Zero reads the same in either byte order, so
+/// only the prefix up to the last non-zero entry needs converting.
+void be64_to_host(std::vector<std::uint64_t>& t) {
+  const std::size_t n = nonzero_prefix(t);
+  const std::uint8_t* b = table_bytes(t).data();
+  for (std::size_t i = 0; i < n; ++i) t[i] = load_be64(b + i * 8);
+}
+
+/// Make the first `n` 16-bit entries of a refcount block read 1 and the
+/// rest 0, given that only its first `set` entries are non-zero now: the
+/// cost follows the entries that change, not the block size.
+void set_leading_refcounts(std::span<std::uint8_t> block, std::uint64_t n,
+                           std::uint64_t set) {
+  for (std::uint64_t k = set; k < n; ++k) store_be16(block.data() + k * 2, 1);
+  if (set > n) std::memset(block.data() + n * 2, 0, (set - n) * 2);
+}
+
+/// Copy refcount block `block`, which covers clusters from `first`, into
+/// the mirror entries that exist.
+void unpack_refcounts(std::span<const std::uint8_t> block, std::uint64_t first,
+                      std::vector<std::uint16_t>& mirror) {
+  if (first >= mirror.size()) return;
+  const std::uint64_t n =
+      std::min<std::uint64_t>(block.size() / 2, mirror.size() - first);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    mirror[first + k] = load_be16(block.data() + k * 2);
+  }
 }
 
 }  // namespace
@@ -137,15 +193,18 @@ sim::Task<Result<void>> Qcow2Device::create(io::BlockBackend& file,
     VMIC_CO_TRY_VOID(co_await file.pwrite(rt_off, rt));
   }
 
-  // Refcount blocks: clusters [0, total) have refcount 1.
+  // Refcount blocks: clusters [0, total) have refcount 1. Only the last
+  // block can be partial, so one buffer serves every block, and only the
+  // entries of the initial clusters are ever touched.
   {
+    const std::uint64_t rpb = ly.refcounts_per_block();
     std::vector<std::uint8_t> rb(cs, 0);
+    std::uint64_t set = 0;  // leading entries of rb that read 1
     for (std::uint64_t j = 0; j < nrb; ++j) {
-      std::memset(rb.data(), 0, cs);
-      const std::uint64_t first = j * ly.refcounts_per_block();
-      for (std::uint64_t k = 0; k < ly.refcounts_per_block(); ++k) {
-        if (first + k < total) store_be16(rb.data() + k * 2, 1);
-      }
+      const std::uint64_t first = j * rpb;
+      const std::uint64_t n = first < total ? std::min(rpb, total - first) : 0;
+      set_leading_refcounts(rb, n, set);
+      set = n;
       VMIC_CO_TRY_VOID(co_await file.pwrite(rb_off + j * cs, rb));
     }
   }
@@ -221,30 +280,20 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   dev->ro_mode_ = !opt.writable;
   dev->cor_single_flight_ = opt.cor_single_flight;
 
-  // Load the L1 table (QEMU keeps the whole L1 in memory as well).
-  {
-    const std::uint64_t bytes = std::uint64_t{dev->h_.l1_size} * 8;
-    std::vector<std::uint8_t> buf(bytes, 0);
-    VMIC_CO_TRY_VOID(co_await dev->file_->pread(dev->h_.l1_table_offset, buf));
-    dev->l1_.resize(dev->h_.l1_size);
-    for (std::uint32_t i = 0; i < dev->h_.l1_size; ++i) {
-      dev->l1_[i] = load_be64(buf.data() + std::uint64_t{i} * 8);
-    }
-  }
-
-  // Load the refcount table; the per-cluster mirror is loaded lazily on
-  // first allocation (read-only consumers never pay for it).
-  {
-    const std::uint64_t bytes =
-        std::uint64_t{dev->h_.refcount_table_clusters} * dev->ly_.cluster_size();
-    std::vector<std::uint8_t> buf(bytes, 0);
-    VMIC_CO_TRY_VOID(
-        co_await dev->file_->pread(dev->h_.refcount_table_offset, buf));
-    dev->rt_.resize(bytes / 8);
-    for (std::size_t i = 0; i < dev->rt_.size(); ++i) {
-      dev->rt_[i] = load_be64(buf.data() + i * 8);
-    }
-  }
+  // Load the L1 table and the refcount table (QEMU keeps both in memory
+  // as well); the per-cluster mirror is loaded lazily on first allocation
+  // (read-only consumers never pay for it). pread fills every byte, so
+  // each table is read straight into its own storage, with no staging
+  // buffer to allocate and fill.
+  dev->l1_.resize(dev->h_.l1_size);
+  VMIC_CO_TRY_VOID(co_await dev->file_->pread(dev->h_.l1_table_offset,
+                                              table_bytes(dev->l1_)));
+  dev->rt_.resize((std::uint64_t{dev->h_.refcount_table_clusters}
+                   << dev->h_.cluster_bits) / 8);
+  VMIC_CO_TRY_VOID(co_await dev->file_->pread(dev->h_.refcount_table_offset,
+                                              table_bytes(dev->rt_)));
+  be64_to_host(dev->l1_);
+  be64_to_host(dev->rt_);
 
   dev->lazy_ = opt.lazy_refcounts;
   if (opt.hub != nullptr) dev->bind_obs(opt.hub);
@@ -332,53 +381,75 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   co_return block::DevicePtr{std::move(dev)};
 }
 
+/// The aggregates and the trace track of one image kind on one hub: the
+/// first device of the kind resolves them, every later one copies the
+/// pointers.
+struct Qcow2Device::ObsKind {
+  AggCounters agg;  ///< comp stays null: set_cor_compress binds it
+  CompCounters comp;
+  std::uint32_t track = 0;
+};
+
+Qcow2Device::ObsKind& Qcow2Device::obs_memo() {
+  // [0] plain images, [1] cache images.
+  return hub_->memo<std::array<ObsKind, 2>>()[is_cache_image() ? 1 : 0];
+}
+
 void Qcow2Device::bind_obs(obs::Hub* hub) {
   hub_ = hub;
-  const obs::Labels ls{{"image", is_cache_image() ? "cache" : "plain"}};
-  auto& r = hub_->registry;
-  agg_.guest_reads = &r.counter("qcow2.guest_reads", ls);
-  agg_.guest_writes = &r.counter("qcow2.guest_writes", ls);
-  agg_.bytes_read = &r.counter("qcow2.bytes_read", ls);
-  agg_.bytes_written = &r.counter("qcow2.bytes_written", ls);
-  agg_.backing_reads = &r.counter("qcow2.backing_reads", ls);
-  agg_.bytes_from_backing = &r.counter("qcow2.bytes_from_backing", ls);
-  agg_.cor_fills = &r.counter("qcow2.cor_fills", ls);
-  agg_.cor_clusters = &r.counter("qcow2.cor_clusters", ls);
-  agg_.cor_bytes = &r.counter("qcow2.cor_bytes", ls);
-  agg_.cor_stopped = &r.counter("qcow2.cor_stopped", ls);
-  agg_.cor_inflight_waits = &r.counter("qcow2.cor.inflight_waits", ls);
-  agg_.cor_dedup_hits = &r.counter("qcow2.cor.dedup_hits", ls);
-  agg_.alloc_lock_waits = &r.counter("qcow2.alloc_lock_waits", ls);
-  agg_.repair_runs = &r.counter("qcow2.repair.runs", ls);
-  agg_.repair_dirty_opens = &r.counter("qcow2.repair.dirty_opens", ls);
-  agg_.repair_entries_cleared = &r.counter("qcow2.repair.entries_cleared", ls);
-  agg_.repair_leaks_dropped = &r.counter("qcow2.repair.leaks_dropped", ls);
-  agg_.repair_corruptions_fixed =
-      &r.counter("qcow2.repair.corruptions_fixed", ls);
-  agg_.journal_appends = &r.counter("qcow2.journal.appends", ls);
-  agg_.journal_checkpoints = &r.counter("qcow2.journal.checkpoints", ls);
-  agg_.journal_replays = &r.counter("qcow2.journal.replays", ls);
-  agg_.journal_entries_replayed =
-      &r.counter("qcow2.journal.entries_replayed", ls);
-  agg_.journal_fallbacks = &r.counter("qcow2.journal.fallbacks", ls);
-  track_ = hub_->tracer.track("qcow2");
+  ObsKind& k = obs_memo();
+  if (k.agg.guest_reads == nullptr) {
+    // First device of its kind on this hub: register the series, in this
+    // order (snapshots break ties on registration order), then the track.
+    const obs::Labels ls{{"image", is_cache_image() ? "cache" : "plain"}};
+    auto& r = hub_->registry;
+    AggCounters& a = k.agg;
+    a.guest_reads = &r.counter("qcow2.guest_reads", ls);
+    a.guest_writes = &r.counter("qcow2.guest_writes", ls);
+    a.bytes_read = &r.counter("qcow2.bytes_read", ls);
+    a.bytes_written = &r.counter("qcow2.bytes_written", ls);
+    a.backing_reads = &r.counter("qcow2.backing_reads", ls);
+    a.bytes_from_backing = &r.counter("qcow2.bytes_from_backing", ls);
+    a.cor_fills = &r.counter("qcow2.cor_fills", ls);
+    a.cor_clusters = &r.counter("qcow2.cor_clusters", ls);
+    a.cor_bytes = &r.counter("qcow2.cor_bytes", ls);
+    a.cor_stopped = &r.counter("qcow2.cor_stopped", ls);
+    a.cor_inflight_waits = &r.counter("qcow2.cor.inflight_waits", ls);
+    a.cor_dedup_hits = &r.counter("qcow2.cor.dedup_hits", ls);
+    a.alloc_lock_waits = &r.counter("qcow2.alloc_lock_waits", ls);
+    a.repair_runs = &r.counter("qcow2.repair.runs", ls);
+    a.repair_dirty_opens = &r.counter("qcow2.repair.dirty_opens", ls);
+    a.repair_entries_cleared = &r.counter("qcow2.repair.entries_cleared", ls);
+    a.repair_leaks_dropped = &r.counter("qcow2.repair.leaks_dropped", ls);
+    a.repair_corruptions_fixed =
+        &r.counter("qcow2.repair.corruptions_fixed", ls);
+    a.journal_appends = &r.counter("qcow2.journal.appends", ls);
+    a.journal_checkpoints = &r.counter("qcow2.journal.checkpoints", ls);
+    a.journal_replays = &r.counter("qcow2.journal.replays", ls);
+    a.journal_entries_replayed =
+        &r.counter("qcow2.journal.entries_replayed", ls);
+    a.journal_fallbacks = &r.counter("qcow2.journal.fallbacks", ls);
+    k.track = hub_->tracer.track("qcow2");
+  }
+  agg_ = k.agg;
+  track_ = k.track;
 }
 
 sim::Task<Result<void>> Qcow2Device::load_refcounts() {
   if (refcounts_loaded_) co_return ok_result();
   const std::uint64_t cs = ly_.cluster_size();
   refcounts_.assign(div_ceil(file_->size(), cs), 0);
-  std::vector<std::uint8_t> buf(cs, 0);
-  for (std::size_t bi = 0; bi < rt_.size(); ++bi) {
+  // pread fills every byte. Slots past the last non-zero one hold no
+  // block; the bound is taken now, not at open, because a dirty open's
+  // repair() may have rebuilt rt_ in between.
+  const auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cs);
+  const std::span<std::uint8_t> block(buf.get(), cs);
+  const std::size_t used = nonzero_prefix(rt_);
+  for (std::size_t bi = 0; bi < used; ++bi) {
     const std::uint64_t block_off = rt_[bi] & kOffsetMask;
     if (block_off == 0) continue;
-    VMIC_CO_TRY_VOID(co_await file_->pread(block_off, buf));
-    const std::uint64_t first = bi * ly_.refcounts_per_block();
-    for (std::uint64_t k = 0; k < ly_.refcounts_per_block(); ++k) {
-      const std::uint64_t idx = first + k;
-      if (idx >= refcounts_.size()) break;
-      refcounts_[idx] = load_be16(buf.data() + k * 2);
-    }
+    VMIC_CO_TRY_VOID(co_await file_->pread(block_off, block));
+    unpack_refcounts(block, bi * ly_.refcounts_per_block(), refcounts_);
   }
   // Dirty journaled image: the on-disk blocks are stale for every
   // journaled mutation since the last checkpoint. Overlay the journal's
@@ -408,19 +479,15 @@ sim::Task<Result<std::vector<std::uint64_t>*>> Qcow2Device::load_l2(
   auto it = l2_tables_.find(l2_host_off);
   if (it != l2_tables_.end()) co_return it->second.get();
 
-  const std::uint64_t cs = ly_.cluster_size();
-  std::vector<std::uint8_t> buf(cs, 0);
-  VMIC_CO_TRY_VOID(co_await file_->pread(l2_host_off, buf));
+  auto table = std::make_unique<std::vector<std::uint64_t>>(ly_.l2_entries());
+  VMIC_CO_TRY_VOID(co_await file_->pread(l2_host_off, table_bytes(*table)));
   // Another coroutine may have loaded (and possibly mutated) this table
   // while we awaited the read — keep theirs, or emplace() would silently
   // fail and return a pointer the caller believes is cached.
   if (auto again = l2_tables_.find(l2_host_off); again != l2_tables_.end()) {
     co_return again->second.get();
   }
-  auto table = std::make_unique<std::vector<std::uint64_t>>(ly_.l2_entries());
-  for (std::uint64_t i = 0; i < ly_.l2_entries(); ++i) {
-    (*table)[i] = load_be64(buf.data() + i * 8);
-  }
+  be64_to_host(*table);
   auto* raw = table.get();
   l2_tables_.emplace(l2_host_off, std::move(table));
   co_return raw;
@@ -498,7 +565,9 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   if (i1 >= l1_.size()) co_return Errc::corrupt;
   if ((l1_[i1] & kOffsetMask) != 0) co_return ok_result();
 
-  // Allocate and zero a fresh L2 table, then hook it into the L1.
+  // Allocate and zero a fresh L2 table, then hook it into the L1. The
+  // in-memory L1 and table cache take it only once the L1 entry is
+  // written: until then the file does not map it, so neither may they.
   const RefHint hint{h_.l1_table_offset + i1 * 8, /*run=*/true};
   VMIC_CO_TRY(l2_off, co_await alloc_clusters(1, hint));
   std::vector<std::uint8_t> zeros(cs, 0);
@@ -506,18 +575,24 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   // Barrier: the table must be durably zeroed before the L1 publishes it
   // (a crash must never expose a table of leftover garbage entries).
   if (wr.ok()) wr = co_await file_->flush();
+  const std::uint64_t entry = l2_off | kFlagCopied;
+  if (wr.ok()) {
+    std::uint8_t be[8];
+    store_be64(be, entry);
+    wr = co_await file_->pwrite(h_.l1_table_offset + i1 * 8, be);
+  }
   if (!wr.ok()) {
-    // The table never landed: release its cluster (nothing leaks).
+    // Nothing maps the table: release its cluster (nothing leaks), and
+    // drop the mirror's free tail past the end of the file, which the
+    // failed zero fill never reached.
     VMIC_CO_TRY_VOID(co_await free_clusters(l2_off, 1, hint));
+    trim_refcounts();
     co_return wr.error();
   }
   l2_tables_.emplace(
       l2_off, std::make_unique<std::vector<std::uint64_t>>(ly_.l2_entries()));
-  l1_[i1] = l2_off | kFlagCopied;
+  l1_[i1] = entry;
   ++l2_clusters_;
-  std::uint8_t be[8];
-  store_be64(be, l1_[i1]);
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(h_.l1_table_offset + i1 * 8, be));
   co_return ok_result();
 }
 
@@ -547,6 +622,16 @@ void Qcow2Device::index_free_runs() {
     free_runs_.emplace(i, j);
     i = j;
   }
+}
+
+void Qcow2Device::trim_refcounts() {
+  const std::uint64_t file_clusters =
+      div_ceil(file_->size(), ly_.cluster_size());
+  if (refcounts_.size() <= file_clusters || refcounts_.back() != 0) return;
+  while (refcounts_.size() > file_clusters && refcounts_.back() == 0) {
+    refcounts_.pop_back();
+  }
+  index_free_runs();  // rare failure path
 }
 
 void Qcow2Device::claim_run(std::uint64_t first, std::uint64_t end) {
@@ -1176,27 +1261,15 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::store_run(
   if (wr.ok() && placed > 0) wr = co_await file_->flush();
 
   // 4. Publish every placed cluster with one L2 write, or, if the data
-  // never landed, drop every reference the run took (a clean failure must
-  // not leak; packing-cluster over-counts are a crash-only artefact).
+  // never landed or the L2 write failed, drop every reference the run took
+  // (a clean failure must not leak; packing-cluster over-counts are a
+  // crash-only artefact).
   std::uint64_t clusters = 0;
   std::uint64_t plain = 0;
   std::uint64_t saved = 0;
   {
     auto guard = co_await lock_alloc();
-    if (!wr.ok()) {
-      for (std::size_t i = 0; i < placed; ++i) {
-        const Piece& p = pieces[i];
-        if (p.sectors != 0) {
-          VMIC_CO_TRY_VOID(co_await free_compressed_entry(
-              ly_.encode_compressed({p.off, p.sectors}), l2_slot(p.vaddr)));
-        } else {
-          VMIC_CO_TRY_VOID(co_await free_clusters(
-              p.off, p.bytes.size() / cs, l2_slot(p.vaddr)));
-        }
-      }
-      co_return wr.error();
-    }
-    if (placed > 0) {
+    if (wr.ok() && placed > 0) {
       std::vector<std::uint64_t> entries;
       entries.reserve(src.size() / cs);
       for (std::size_t i = 0; i < placed; ++i) {
@@ -1212,7 +1285,22 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::store_run(
         plain += p.bytes.size() / cs;
       }
       clusters = entries.size();
-      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(vaddr, std::move(entries)));
+      wr = co_await set_l2_raw_run(vaddr, std::move(entries));
+    }
+    if (!wr.ok()) {
+      for (std::size_t i = 0; i < placed; ++i) {
+        const Piece& p = pieces[i];
+        if (p.sectors != 0) {
+          VMIC_CO_TRY_VOID(co_await free_compressed_entry(
+              ly_.encode_compressed({p.off, p.sectors}), l2_slot(p.vaddr)));
+        } else {
+          VMIC_CO_TRY_VOID(co_await free_clusters(
+              p.off, p.bytes.size() / cs, l2_slot(p.vaddr)));
+        }
+      }
+      co_return wr.error();
+    }
+    if (placed > 0) {
       if (old.kind == MapKind::compressed) {
         // A write over a compressed cluster drops the old payload's
         // reference behind a barrier (free could hand the shared cluster
@@ -1231,9 +1319,9 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::store_run(
     bump(agg_.cor_bytes, clusters * cs);
   }
   if (compress) {
-    bump(agg_.comp_clusters, clusters - plain);
-    bump(agg_.comp_bytes_saved, saved);
-    bump(agg_.comp_fallbacks, plain);
+    bump(agg_.comp.clusters, clusters - plain);
+    bump(agg_.comp.bytes_saved, saved);
+    bump(agg_.comp.fallbacks, plain);
   }
   if (!stop.ok()) co_return stop.error();
   co_return clusters;
@@ -1311,13 +1399,17 @@ Result<void> Qcow2Device::set_cor_compress(bool on) {
     return Errc::unsupported;
   }
   cor_compress_ = on;
-  if (on && hub_ != nullptr && agg_.comp_clusters == nullptr) {
-    const obs::Labels ls{{"image", is_cache_image() ? "cache" : "plain"}};
-    auto& r = hub_->registry;
-    agg_.comp_clusters = &r.counter("qcow2.compressed.clusters", ls);
-    agg_.comp_bytes_saved = &r.counter("qcow2.compressed.bytes_saved", ls);
-    agg_.comp_fallbacks = &r.counter("qcow2.compressed.fallbacks", ls);
-    agg_.comp_reads = &r.counter("qcow2.compressed.reads", ls);
+  if (on && hub_ != nullptr && agg_.comp.clusters == nullptr) {
+    CompCounters& c = obs_memo().comp;
+    if (c.clusters == nullptr) {
+      const obs::Labels ls{{"image", is_cache_image() ? "cache" : "plain"}};
+      auto& r = hub_->registry;
+      c.clusters = &r.counter("qcow2.compressed.clusters", ls);
+      c.bytes_saved = &r.counter("qcow2.compressed.bytes_saved", ls);
+      c.fallbacks = &r.counter("qcow2.compressed.fallbacks", ls);
+      c.reads = &r.counter("qcow2.compressed.reads", ls);
+    }
+    agg_.comp = c;
   }
   return ok_result();
 }
@@ -1344,7 +1436,7 @@ sim::Task<Result<void>> Qcow2Device::read_compressed(
     const std::uint64_t in_cl = pos & (cs - 1);
     std::memcpy(dst.data(), cluster.get() + in_cl, dst.size());
   }
-  bump(agg_.comp_reads);
+  bump(agg_.comp.reads);
   co_return ok_result();
 }
 
@@ -1491,14 +1583,15 @@ sim::Task<Result<void>> Qcow2Device::set_l2_raw_run(
   VMIC_CO_TRY(l2, co_await load_l2(l2_off));
   const std::uint64_t i2 = ly_.l2_index(vaddr);
   assert(i2 + entries.size() <= ly_.l2_entries());
-  // Update the mirror, then pack the entries big-endian in place: the
-  // vector doubles as the write buffer.
+  // Pack the entries big-endian in place (the vector doubles as the write
+  // buffer); the cached table takes them only once the write succeeded,
+  // so a failure leaves it describing the file.
+  const std::size_t n = entries.size();
   auto* be = reinterpret_cast<std::uint8_t*>(entries.data());
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    (*l2)[i2 + k] = entries[k];
-    store_be64(be + k * 8, entries[k]);
-  }
-  co_return co_await file_->pwrite(l2_off + i2 * 8, {be, entries.size() * 8});
+  pack_be64(entries.data(), n, be);
+  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, {be, n * 8}));
+  for (std::size_t k = 0; k < n; ++k) (*l2)[i2 + k] = load_be64(be + k * 8);
+  co_return ok_result();
 }
 
 sim::Task<Result<void>> Qcow2Device::unmap_clusters(std::uint64_t lo,
@@ -2306,6 +2399,11 @@ sim::Task<Result<CheckResult>> Qcow2Device::check() {
     } else if (actual < expected[i]) {
       ++res.corruptions;
     }
+  }
+  // Nothing can reference a cluster at or past the end of the file, so a
+  // count there is a leak.
+  for (std::uint64_t i = file_clusters; i < refcounts_.size(); ++i) {
+    if (refcounts_[i] != 0) ++res.leaked_clusters;
   }
   co_return res;
 }

@@ -282,6 +282,15 @@ class Qcow2Device final : public block::BlockDevice {
  private:
   Qcow2Device(io::BackendPtr file, ParsedHeader parsed);
 
+  /// qcow2.compressed.* — created lazily by set_cor_compress(true), not
+  /// bind_obs, so compression-off runs keep their metrics snapshots
+  /// byte-identical to the pre-compression golden pins.
+  struct CompCounters {
+    obs::Counter* clusters = nullptr;
+    obs::Counter* bytes_saved = nullptr;
+    obs::Counter* fallbacks = nullptr;
+    obs::Counter* reads = nullptr;
+  };
   /// Registry-owned aggregate counters, shared by every device of the
   /// same kind (label image="cache"/"plain"). Devices come and go with
   /// each VM deployment, so per-instance attachment would churn the
@@ -310,21 +319,19 @@ class Qcow2Device final : public block::BlockDevice {
     obs::Counter* journal_replays = nullptr;
     obs::Counter* journal_entries_replayed = nullptr;
     obs::Counter* journal_fallbacks = nullptr;
-    // qcow2.compressed.* — created lazily by set_cor_compress(true), not
-    // bind_obs, so compression-off runs keep their metrics snapshots
-    // byte-identical to the pre-compression golden pins.
-    obs::Counter* comp_clusters = nullptr;
-    obs::Counter* comp_bytes_saved = nullptr;
-    obs::Counter* comp_fallbacks = nullptr;
-    obs::Counter* comp_reads = nullptr;
+    CompCounters comp;  ///< null unless this device compresses
   };
   static void bump(obs::Counter* c, std::uint64_t n = 1) {
     if (c != nullptr) c->inc(n);
   }
 
   /// Fetch/Create the aggregates for this device's kind and open the
-  /// "qcow2" trace track. Called from open() once cache-ness is known.
+  /// "qcow2" trace track, once per hub and kind (ObsKind). Called from
+  /// open() once cache-ness is known.
   void bind_obs(obs::Hub* hub);
+  struct ObsKind;
+  /// hub_'s memo entry for this device's kind (hub_ must be set).
+  ObsKind& obs_memo();
 
   struct Extent {
     MapKind kind;
@@ -425,6 +432,9 @@ class Qcow2Device final : public block::BlockDevice {
   void claim_run(std::uint64_t first, std::uint64_t end);
   void release_run(std::uint64_t first, std::uint64_t end);
   void index_free_runs();
+  /// Drop zero counts past the end of the file from the mirror's tail, so
+  /// file_bytes() does not count clusters a failed write never created.
+  void trim_refcounts();
 
   /// Contention-counting acquisition of alloc_mutex_.
   [[nodiscard]] sim::InlineMutex::Awaiter lock_alloc() noexcept;

@@ -240,10 +240,15 @@ TEST(FaultInjection, CorruptL1PointerDetectedByCheck) {
 
 // --------------------------------------------------------------------------
 // Single-call failure sweep: every failure exit of the cluster-store path
-// must free what it took. Two operations run over a fresh image whose file
-// fails exactly one call — each pwrite index and each flush index of a
-// fault-free run in turn — then a follow-up operation, and the image must
-// still check clean (no leaked cluster, no corruption).
+// must free what it took and leave the in-memory tables describing the
+// file. Two operations run over a fresh image whose file fails exactly one
+// call — each pwrite index and each flush index of a fault-free run in
+// turn — a failed guest write is retried once, then a follow-up operation
+// runs, and the image must still check clean (no leaked cluster, no
+// corruption). Closed and reopened fault-free, it must map the same
+// clusters, read back every acknowledged write and check clean again.
+// Among the cases: the plain write's pwrite 3 and 6 (64 KiB clusters) are
+// its L1-entry and L2-entry publishes.
 // --------------------------------------------------------------------------
 
 /// Counts the pwrite and flush calls of one file and fails exactly one:
@@ -358,8 +363,21 @@ std::string make_sweep_images(StoreOp op, io::MemImageStore& mem,
   return "vmi.cache";
 }
 
-/// Two operations (either may fail), then a follow-up that must succeed,
-/// then check(). `counted` receives the pwrite/flush counts after the two
+/// Which clusters of `q` are allocated, one flag per cluster.
+std::vector<bool> allocation_map(qcow2::Qcow2Device& q) {
+  std::vector<bool> out;
+  for (std::uint64_t v = 0; v < q.size(); v += q.cluster_size()) {
+    auto a = sync_wait(q.is_allocated(v));
+    EXPECT_TRUE(a.ok());
+    out.push_back(a.ok() && *a);
+  }
+  return out;
+}
+
+/// Two operations (either may fail; a failed guest write is retried
+/// once), then a follow-up that must succeed, then check(), then a close
+/// and a fault-free reopen that must agree with what the device
+/// acknowledged. `counted` receives the pwrite/flush counts after the two
 /// operations.
 void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   const auto base = sweep_base();
@@ -371,13 +389,20 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
   ASSERT_NE(q, nullptr);
   std::vector<std::uint8_t> buf;
+  // Guest writes the device acknowledged: offset -> bytes.
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> acked;
   if (op == StoreOp::cow_write) {
     const std::vector<std::uint8_t> data(4_KiB, 0xA1);
-    (void)sync_wait(q->write(0, data));
-    (void)sync_wait(q->write(512_KiB, data));
+    for (const std::uint64_t off : {std::uint64_t{0}, 512_KiB}) {
+      if (sync_wait(q->write(off, data)).ok() ||
+          sync_wait(q->write(off, data)).ok()) {
+        acked.emplace_back(off, data);
+      }
+    }
     *counted = *fault;
     const std::vector<std::uint8_t> more(4_KiB, 0xB2);
     ASSERT_TRUE(sync_wait(q->write(256_KiB, more)).ok());
+    acked.emplace_back(256_KiB, more);
     buf.resize(more.size());
     ASSERT_TRUE(sync_wait(q->read(256_KiB, buf)).ok());
     EXPECT_EQ(buf, more);
@@ -402,6 +427,24 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   auto chk = sync_wait(q->check());
   ASSERT_TRUE(chk.ok());
   EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                            << " corrupt=" << chk->corruptions;
+  const std::vector<bool> mapped = allocation_map(*q);
+  ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+  dev->reset();
+
+  auto again = sync_wait(qcow2::open_image(mem, file, /*writable=*/false));
+  ASSERT_TRUE(again.ok());
+  auto* r = dynamic_cast<qcow2::Qcow2Device*>(again->get());
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(allocation_map(*r), mapped);
+  for (const auto& [off, bytes] : acked) {
+    buf.resize(bytes.size());
+    ASSERT_TRUE(sync_wait(r->read(off, buf)).ok());
+    EXPECT_EQ(buf, bytes) << "acknowledged write at " << off << " lost";
+  }
+  chk = sync_wait(r->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean()) << "reopened: leaked=" << chk->leaked_clusters
                             << " corrupt=" << chk->corruptions;
 }
 
@@ -434,6 +477,66 @@ TEST(FaultInjection, CorFillFreesWhatItTookOnAnyFailure) {
 
 TEST(FaultInjection, CompressedCorFillFreesWhatItTookOnAnyFailure) {
   sweep_single_faults(StoreOp::compressed_fill);
+}
+
+TEST(FaultInjection, FailedL2ZeroFillKeepsCacheSizeWithinTheFile) {
+  // The first CoR fill of a 4 KiB-cluster cache allocates its L2 table at
+  // the end of the file; its zero fill (pwrite 2, after the dirty bit and
+  // the table's refcount) fails. The fill stops population, the guest
+  // read succeeds, and the cache size must not count the cluster the
+  // failed write never created.
+  const auto base = sweep_base();
+  io::MemImageStore mem;
+  const std::string file = make_sweep_images(StoreOp::cor_fill, mem, base);
+  OneFault fault{.kind = OneFault::Kind::pwrite, .at = 2};
+  OneFaultStore store{mem, file, &fault};
+  auto dev = sync_wait(qcow2::open_image(store, file));
+  ASSERT_TRUE(dev.ok());
+  auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+  ASSERT_NE(q, nullptr);
+  const std::uint64_t before = (**mem.buffer(file)).size();
+  std::vector<std::uint8_t> buf(6_KiB);
+  ASSERT_TRUE(sync_wait(q->read(1000, buf)).ok());
+  ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + 1000, buf.size()));
+  EXPECT_FALSE(q->cor_active());
+  EXPECT_EQ(q->l2_table_bytes(), 0u);
+  EXPECT_EQ((**mem.buffer(file)).size(), before);
+  EXPECT_LE(q->file_bytes(), before);
+  auto chk = sync_wait(q->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                            << " corrupt=" << chk->corruptions;
+}
+
+TEST(FaultInjection, CheckCountsAReferenceCountPastEndOfFileAsALeak) {
+  // Growing a 4 KiB-cluster image to 2 GiB moves its L1 table into two
+  // new clusters at the end of the file; the table write (pwrite 2, after
+  // the dirty bit and the clusters' refcounts) fails. resize() does not
+  // take the two counts back, and nothing references those clusters,
+  // which lie past the end of the file: check() must report them.
+  io::MemImageStore mem;
+  {
+    auto be = mem.create_file("img.qcow2");
+    ASSERT_TRUE(be.ok());
+    qcow2::Qcow2Device::CreateOptions opt;
+    opt.virtual_size = 1_MiB;
+    opt.cluster_bits = 12;
+    ASSERT_TRUE(sync_wait(qcow2::Qcow2Device::create(**be, opt)).ok());
+  }
+  OneFault fault{.kind = OneFault::Kind::pwrite, .at = 2};
+  OneFaultStore store{mem, "img.qcow2", &fault};
+  auto dev = sync_wait(qcow2::open_image(store, "img.qcow2"));
+  ASSERT_TRUE(dev.ok());
+  auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+  ASSERT_NE(q, nullptr);
+  const std::uint64_t file_size = (**mem.buffer("img.qcow2")).size();
+  EXPECT_EQ(sync_wait(q->resize(2048_MiB)).error(), Errc::io_error);
+  ASSERT_EQ((**mem.buffer("img.qcow2")).size(), file_size);
+  ASSERT_EQ(q->file_bytes(), file_size + 2 * 4_KiB);
+  auto chk = sync_wait(q->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_EQ(chk->leaked_clusters, 2u);
+  EXPECT_EQ(chk->corruptions, 0u);
 }
 
 }  // namespace

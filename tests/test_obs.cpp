@@ -7,11 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "io/mem_store.hpp"
 #include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "qcow2/chain.hpp"
+#include "qcow2/device.hpp"
 #include "sim/env.hpp"
 #include "sim/run.hpp"
+#include "sim/task.hpp"
 
 namespace vmic::obs {
 namespace {
@@ -521,6 +525,112 @@ TEST(Hub, MovedFromSpanIsInert) {
     b.end();  // second end: no double record
   }
   EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(Hub, MemoIsOnePerTypeAndDiesWithItsHub) {
+  struct Tally {
+    int v = 0;
+  };
+  struct Witness {
+    bool* destroyed = nullptr;
+    ~Witness() {
+      if (destroyed != nullptr) *destroyed = true;
+    }
+  };
+  bool destroyed = false;
+  {
+    Hub a;
+    Hub b;
+    a.memo<Tally>().v = 1;
+    b.memo<Tally>().v = 2;
+    EXPECT_EQ(&a.memo<Tally>(), &a.memo<Tally>());
+    EXPECT_EQ(a.memo<Tally>().v, 1);
+    EXPECT_EQ(b.memo<Tally>().v, 2);
+    a.memo<Witness>().destroyed = &destroyed;
+    EXPECT_EQ(a.memo<Tally>().v, 1);  // a second type leaves the first
+    EXPECT_FALSE(destroyed);
+  }
+  EXPECT_TRUE(destroyed);
+}
+
+// qcow2 devices resolve their aggregate series and trace track once per
+// hub and image kind. What a hub holds must not depend on that: the first
+// device of each kind registers everything, later devices add nothing, a
+// fresh hub registers the same again, and reset_owned() keeps counting.
+
+/// Open a plain image and a cache image `rounds` times each on `hub`,
+/// reading 4 KiB through every device. Returns the registry size after
+/// each open.
+std::vector<std::size_t> open_devices(Hub& hub, int rounds) {
+  using sim::sync_wait;
+  io::MemImageStore store;
+  {
+    auto be = store.create_file("base.img");
+    EXPECT_TRUE(be.ok());
+    const std::vector<std::uint8_t> data(1 << 20, 0x5A);
+    EXPECT_TRUE(sync_wait((*be)->pwrite(0, data)).ok());
+    auto plain = store.create_file("plain.qcow2");
+    EXPECT_TRUE(plain.ok());
+    qcow2::Qcow2Device::CreateOptions opt;
+    opt.virtual_size = 1 << 20;
+    EXPECT_TRUE(sync_wait(qcow2::Qcow2Device::create(**plain, opt)).ok());
+    EXPECT_TRUE(sync_wait(qcow2::create_cache_image(store, "vmi.cache",
+                                                    "base.img", 8 << 20))
+                    .ok());
+  }
+  std::vector<std::size_t> sizes;
+  std::vector<std::uint8_t> buf(4096);
+  for (int i = 0; i < rounds; ++i) {
+    for (const char* name : {"plain.qcow2", "vmi.cache"}) {
+      auto dev = sync_wait(qcow2::open_image(store, name, /*writable=*/true,
+                                             /*cache_backing_ro=*/false,
+                                             &hub));
+      EXPECT_TRUE(dev.ok());
+      if (!dev.ok()) return sizes;
+      sizes.push_back(hub.registry.size());
+      EXPECT_TRUE(sync_wait((*dev)->read(4096u * i, buf)).ok());
+      EXPECT_TRUE(sync_wait((*dev)->close()).ok());
+    }
+  }
+  return sizes;
+}
+
+TEST(Hub, Qcow2DevicesResolveTheirSeriesOncePerHub) {
+  constexpr int kRounds = 50;
+  Hub a;
+  const auto sizes = open_devices(a, kRounds);
+  ASSERT_EQ(sizes.size(), 2u * kRounds);
+  ASSERT_GT(sizes[0], 0u);        // the first plain device registered
+  ASSERT_GT(sizes[1], sizes[0]);  // the first cache device registered
+  for (std::size_t i = 2; i < sizes.size(); ++i) {
+    EXPECT_EQ(sizes[i], sizes[1]) << "open " << i << " registered a series";
+  }
+  const MetricsSnapshot snap = a.registry.snapshot();
+  const MetricPoint* plain =
+      snap.find("qcow2.guest_reads", {{"image", "plain"}});
+  const MetricPoint* cache =
+      snap.find("qcow2.guest_reads", {{"image", "cache"}});
+  ASSERT_NE(plain, nullptr);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(plain->counter, std::uint64_t{kRounds});
+  EXPECT_EQ(cache->counter, std::uint64_t{kRounds});
+
+  // A fresh hub starts from nothing and ends with the same series, the
+  // same values and the same trace tracks.
+  Hub b;
+  EXPECT_EQ(open_devices(b, kRounds), sizes);
+  EXPECT_EQ(b.registry.snapshot().to_text(), snap.to_text());
+  EXPECT_EQ(b.tracer.to_chrome_json(), a.tracer.to_chrome_json());
+
+  // Zeroed owned counters stay the ones later devices count into.
+  a.registry.reset_owned();
+  const auto again = open_devices(a, 3);
+  EXPECT_EQ(again, std::vector<std::size_t>(6, sizes[1]));
+  const MetricsSnapshot after = a.registry.snapshot();
+  EXPECT_EQ(after.find("qcow2.guest_reads", {{"image", "plain"}})->counter,
+            3u);
+  EXPECT_EQ(after.find("qcow2.guest_reads", {{"image", "cache"}})->counter,
+            3u);
 }
 
 }  // namespace
