@@ -612,7 +612,7 @@ TEST(Qcow2CraftedHeader, JournalRegionPastEndOfFileRefused) {
 }
 
 // --------------------------------------------------------------------------
-// Pinned create/open I/O. Image creation and open must issue the same
+// Pinned create/open I/O. Image creation and open must make the same
 // backend calls (kind, offset, length, in order) and write the same bytes
 // whatever host-side shortcuts they take; every value below was captured
 // from the implementation that visited every refcount-block slot and
@@ -834,7 +834,7 @@ TEST(Qcow2Open, RefcountTableWithGapsAndAFinalSlotEntry) {
   b.write(block0 + 4 * 2, one);
   b.write(block0 + 5 * 2, one);
 
-  IoLog log;  // the whole session: open, check, one write, close
+  IoLog log;  // every call from open to close: check and one write between
   {
     auto file = store.open_file("img", /*writable=*/true);
     ASSERT_TRUE(file.ok());
