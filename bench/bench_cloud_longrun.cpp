@@ -16,12 +16,13 @@
 //   * peer-on storage-node bytes <= 75% of the NFS baseline;
 //   * peer-on p99 boot latency no worse than the baseline (2% slack).
 
-#include <string>
+#include <optional>
 
-#include "bench_common.hpp"
+#include "ablation.hpp"
 #include "cloud/engine.hpp"
 
 using namespace vmic;
+using namespace vmic::bench;
 using namespace vmic::cloud;
 
 namespace {
@@ -53,7 +54,7 @@ CloudResult run_row(const Row& row, double hours) {
 /// fast enough to saturate the warm node's VM slots, so deployments of
 /// the popular images spill onto cold nodes — exactly the case where a
 /// peer fetch beats a storage-node round trip.
-CloudResult run_peer_row(bool peer_on, double hours) {
+CloudConfig peer_config(double hours, bool peer_on) {
   CloudConfig cfg;
   cfg.seed = 42;
   cfg.horizon_s = hours * 3600.0;
@@ -61,36 +62,64 @@ CloudResult run_peer_row(bool peer_on, double hours) {
   cfg.workload.zipf_exponent = 1.1;
   cfg.workload.mean_interarrival_s = 3600.0 / 500.0;
   cfg.peer_transfer = peer_on;
-  return run_cloud(cfg);
+  return cfg;
 }
+
+/// Peer-tier ablation: same seed, same Zipf mix; the only difference is
+/// whether compute nodes serve each other's cold fills. Its columns are
+/// the scenario table's, and its two rows print under that table.
+const Ablation kPeer{
+    .bench = "bench_cloud_longrun",
+    .default_hours = 1.0,
+    .config = peer_config,
+    .tags = {"zipf-nfs", "zipf-peer"},
+    .export_prefix = "cloud-longrun-",
+    .columns = {{"arrivals", &CloudResult::arrivals},
+                {"completed", &CloudResult::completed},
+                {"aborted", &CloudResult::aborted},
+                {"hit-ratio", &CloudResult::cache_hit_ratio, 3},
+                {"p50-dep", [](auto& r) { return r.deploy.p50; }, 2},
+                {"p99-dep", [](auto& r) { return r.deploy.p99; }, 2},
+                {"stor-MiB", in_mib(&CloudResult::storage_payload_bytes), 1}},
+    .bytes = &CloudResult::storage_payload_bytes,
+    .min_reduction = 0.25,
+    .latency = &CloudResult::boot,
+    .summary = "peer ablation: storage-node bytes %.1f -> %.1f MiB "
+               "(-%.1f%%, gate >= 25%%), boot p99 %.2f -> %.2f s, ",
+    .summary_tail =
+        [](const CloudResult& peer) {
+          std::printf(
+              "%llu seed hit(s), %llu fallback(s)\n",
+              static_cast<unsigned long long>(peer.peer_seed_hits),
+              static_cast<unsigned long long>(peer.peer_fallback_fills));
+        },
+    .bytes_failed = "bench: peer tier cut storage bytes by only %.1f%% "
+                    "(gate >= 25%%)\n",
+    .latency_failed = "bench: peer-on p99 boot regressed: %.2f s vs %.2f s\n",
+    .json = {{"nfs_storage_bytes", &Outcome::off_bytes},
+             {"peer_storage_bytes", &Outcome::on_bytes},
+             {"storage_reduction", &Outcome::reduction, 4},
+             {"nfs_boot_p99", &Outcome::off_p99, 4},
+             {"peer_boot_p99", &Outcome::on_p99, 4},
+             {"peer_seed_hits", on(&CloudResult::peer_seed_hits)},
+             {"peer_fallback_fills", on(&CloudResult::peer_fallback_fills)},
+             {"peer_bytes_served", on(&CloudResult::peer_bytes_served)},
+             {"peer_timeouts", on(&CloudResult::peer_timeouts)}},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  double hours = 1.0;
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (!a.empty() && a[0] != '-') {
-      hours = std::atof(a.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_cloud_longrun [hours] [--json-out FILE]\n");
-      return 2;
-    }
-  }
+  const std::optional<Args> args = parse_args(kPeer, argc, argv);
+  if (!args) return 2;
 
-  bench::header(
-      "Long-running cloud: deployment SLOs under arrival shapes + faults",
-      "beyond the paper's boot storms; §3.4 scheduling + §6 Algorithm 1 "
-      "in steady state",
-      "warm-hit ratio climbs well past 50% so p50 deploy stays in single "
-      "digits; crashes and outages stretch the tail (p99) but abort few "
-      "VMs and leak no slots");
-  bench::row_header({"scenario", "arrivals", "completed", "aborted",
-                     "hit-ratio", "p50-dep", "p99-dep", "stor-MiB"});
+  header("Long-running cloud: deployment SLOs under arrival shapes + faults",
+         "beyond the paper's boot storms; §3.4 scheduling + §6 Algorithm 1 "
+         "in steady state",
+         "warm-hit ratio climbs well past 50% so p50 deploy stays in single "
+         "digits; crashes and outages stretch the tail (p99) but abort few "
+         "VMs and leak no slots");
+  table_header("scenario", kPeer.columns);
 
   // "crashes" vs "crashes-nosalv" is the crash-recovery ablation: same
   // seed, same failure plan; the only difference is whether a recovered
@@ -105,101 +134,14 @@ int main(int argc, char** argv) {
       {"outage", ArrivalProcess::poisson, 0, 1},
   };
   for (const Row& row : rows) {
-    const CloudResult r = run_row(row, hours);
-    std::printf("%16s%16d%16d%16d%16.3f%16.2f%16.2f%16.1f\n", row.tag,
-                r.arrivals, r.completed, r.aborted, r.cache_hit_ratio,
-                r.deploy.p50, r.deploy.p99,
-                static_cast<double>(r.storage_payload_bytes) /
-                    static_cast<double>(MiB));
+    const CloudResult r = run_row(row, args->hours);
+    print_row(kPeer.columns, row.tag, r);
     if (row.crashes > 0) {
       std::printf("%16s  %d salvaged, %d invalidated after %d crash(es)\n",
                   "", r.caches_salvaged, r.caches_invalidated,
                   r.node_crashes);
     }
-    if (r.leaked_slots != 0) {
-      std::fprintf(stderr, "bench: %s leaked %d VM slot(s)\n", row.tag,
-                   r.leaked_slots);
-      return 1;
-    }
-    bench::export_metrics(r.metrics, std::string("cloud-longrun-") + row.tag);
+    if (!settle(kPeer, row.tag, r)) return 1;
   }
-
-  // Peer-tier ablation: same seed, same Zipf mix; the only difference is
-  // whether compute nodes serve each other's cold fills.
-  const CloudResult nfs = run_peer_row(/*peer_on=*/false, hours);
-  const CloudResult peer = run_peer_row(/*peer_on=*/true, hours);
-  for (const CloudResult* r : {&nfs, &peer}) {
-    const char* tag = r == &nfs ? "zipf-nfs" : "zipf-peer";
-    std::printf("%16s%16d%16d%16d%16.3f%16.2f%16.2f%16.1f\n", tag,
-                r->arrivals, r->completed, r->aborted, r->cache_hit_ratio,
-                r->deploy.p50, r->deploy.p99,
-                static_cast<double>(r->storage_payload_bytes) /
-                    static_cast<double>(MiB));
-    if (r->leaked_slots != 0) {
-      std::fprintf(stderr, "bench: %s leaked %d VM slot(s)\n", tag,
-                   r->leaked_slots);
-      return 1;
-    }
-    bench::export_metrics(r->metrics, std::string("cloud-longrun-") + tag);
-  }
-  const double reduction =
-      1.0 - static_cast<double>(peer.storage_payload_bytes) /
-                static_cast<double>(nfs.storage_payload_bytes
-                                        ? nfs.storage_payload_bytes
-                                        : 1);
-  std::printf("peer ablation: storage-node bytes %.1f -> %.1f MiB "
-              "(-%.1f%%, gate >= 25%%), boot p99 %.2f -> %.2f s, "
-              "%llu seed hit(s), %llu fallback(s)\n",
-              static_cast<double>(nfs.storage_payload_bytes) /
-                  static_cast<double>(MiB),
-              static_cast<double>(peer.storage_payload_bytes) /
-                  static_cast<double>(MiB),
-              reduction * 100.0, nfs.boot.p99, peer.boot.p99,
-              static_cast<unsigned long long>(peer.peer_seed_hits),
-              static_cast<unsigned long long>(peer.peer_fallback_fills));
-
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"hours\": %.3f,\n"
-                 "  \"nfs_storage_bytes\": %llu,\n"
-                 "  \"peer_storage_bytes\": %llu,\n"
-                 "  \"storage_reduction\": %.4f,\n"
-                 "  \"nfs_boot_p99\": %.4f,\n"
-                 "  \"peer_boot_p99\": %.4f,\n"
-                 "  \"peer_seed_hits\": %llu,\n"
-                 "  \"peer_fallback_fills\": %llu,\n"
-                 "  \"peer_bytes_served\": %llu,\n"
-                 "  \"peer_timeouts\": %llu\n"
-                 "}\n",
-                 hours,
-                 static_cast<unsigned long long>(nfs.storage_payload_bytes),
-                 static_cast<unsigned long long>(peer.storage_payload_bytes),
-                 reduction, nfs.boot.p99, peer.boot.p99,
-                 static_cast<unsigned long long>(peer.peer_seed_hits),
-                 static_cast<unsigned long long>(peer.peer_fallback_fills),
-                 static_cast<unsigned long long>(peer.peer_bytes_served),
-                 static_cast<unsigned long long>(peer.peer_timeouts));
-    std::fclose(f);
-  }
-
-  if (reduction < 0.25) {
-    std::fprintf(stderr,
-                 "bench: peer tier cut storage bytes by only %.1f%% "
-                 "(gate >= 25%%)\n",
-                 reduction * 100.0);
-    return 1;
-  }
-  if (peer.boot.p99 > nfs.boot.p99 * 1.02) {
-    std::fprintf(stderr,
-                 "bench: peer-on p99 boot regressed: %.2f s vs %.2f s\n",
-                 peer.boot.p99, nfs.boot.p99);
-    return 1;
-  }
-  return 0;
+  return run_arms(kPeer, *args);
 }

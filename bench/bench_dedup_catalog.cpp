@@ -16,12 +16,11 @@
 //   * dedup+compress p99 boot latency no worse than baseline + 2%;
 //   * no leaked VM slots in either run.
 
-#include <string>
-
-#include "bench_common.hpp"
+#include "ablation.hpp"
 #include "cloud/engine.hpp"
 
 using namespace vmic;
+using namespace vmic::bench;
 using namespace vmic::cloud;
 
 namespace {
@@ -48,117 +47,58 @@ CloudConfig catalog_config(double hours, bool dedup_on) {
   return cfg;
 }
 
+const Ablation kDedup{
+    .bench = "bench_dedup_catalog",
+    .default_hours = 0.5,
+    .title = "Content-addressed dedup + compressed clusters, sibling catalog",
+    .paper = "Razavi & Kielmann, SC'13, §7.3 content-based block caching / §8",
+    .expectation = "sibling fills come out of the fingerprint index and "
+                   "compressed caches instead of NFS: storage-node bytes "
+                   "drop >= 30% at equal p99 boot latency",
+    .config = catalog_config,
+    .tags = {"dedup-off", "dedup-on"},
+    .export_prefix = "dedup-catalog-",
+    .columns = {{"arrivals", &CloudResult::arrivals},
+                {"completed", &CloudResult::completed},
+                {"hit-ratio", &CloudResult::cache_hit_ratio, 3},
+                {"p99-boot", [](auto& r) { return r.boot.p99; }, 2},
+                {"stor-MiB", in_mib(&CloudResult::storage_payload_bytes), 1},
+                {"dedup-hits",
+                 [](auto& r) {
+                   return r.dedup_local_hits + r.dedup_zero_fills +
+                          r.dedup_peer_hits;
+                 }}},
+    .bytes = &CloudResult::storage_payload_bytes,
+    .min_reduction = 0.30,
+    .latency = &CloudResult::boot,
+    .summary = "dedup ablation: storage-node bytes %.1f -> %.1f MiB "
+               "(-%.1f%%, gate >= 30%%), boot p99 %.2f -> %.2f s "
+               "(gate <= +2%%), ",
+    .summary_tail =
+        [](const CloudResult& on) {
+          std::printf("%llu local / %llu zero / %llu peer hit(s), "
+                      "%llu fallback(s)\n",
+                      static_cast<unsigned long long>(on.dedup_local_hits),
+                      static_cast<unsigned long long>(on.dedup_zero_fills),
+                      static_cast<unsigned long long>(on.dedup_peer_hits),
+                      static_cast<unsigned long long>(on.dedup_fallbacks));
+        },
+    .bytes_failed = "bench: dedup+compress cut storage bytes by only %.1f%% "
+                    "(gate >= 30%%)\n",
+    .latency_failed = "bench: dedup-on p99 boot regressed: %.2f s vs %.2f s "
+                      "(gate <= +2%%)\n",
+    .json = {{"off_storage_bytes", &Outcome::off_bytes},
+             {"on_storage_bytes", &Outcome::on_bytes},
+             {"storage_reduction", &Outcome::reduction, 4},
+             {"off_boot_p99", &Outcome::off_p99, 4},
+             {"on_boot_p99", &Outcome::on_p99, 4},
+             {"dedup_local_hits", on(&CloudResult::dedup_local_hits)},
+             {"dedup_zero_fills", on(&CloudResult::dedup_zero_fills)},
+             {"dedup_peer_hits", on(&CloudResult::dedup_peer_hits)},
+             {"dedup_fallbacks", on(&CloudResult::dedup_fallbacks)},
+             {"dedup_bytes_served", on(&CloudResult::dedup_bytes_served)}},
+};
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  double hours = 0.5;
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (!a.empty() && a[0] != '-') {
-      hours = std::atof(a.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_dedup_catalog [hours] [--json-out FILE]\n");
-      return 2;
-    }
-  }
-
-  bench::header(
-      "Content-addressed dedup + compressed clusters, sibling catalog",
-      "Razavi & Kielmann, SC'13, §7.3 content-based block caching / §8",
-      "sibling fills come out of the fingerprint index and compressed "
-      "caches instead of NFS: storage-node bytes drop >= 30% at equal "
-      "p99 boot latency");
-
-  const CloudResult off = run_cloud(catalog_config(hours, false));
-  const CloudResult on = run_cloud(catalog_config(hours, true));
-
-  bench::row_header({"mode", "arrivals", "completed", "hit-ratio", "p99-boot",
-                     "stor-MiB", "dedup-hits"});
-  for (const CloudResult* r : {&off, &on}) {
-    const char* tag = r == &off ? "dedup-off" : "dedup-on";
-    std::printf("%16s%16d%16d%16.3f%16.2f%16.1f%16llu\n", tag, r->arrivals,
-                r->completed, r->cache_hit_ratio, r->boot.p99,
-                static_cast<double>(r->storage_payload_bytes) /
-                    static_cast<double>(MiB),
-                static_cast<unsigned long long>(r->dedup_local_hits +
-                                                r->dedup_zero_fills +
-                                                r->dedup_peer_hits));
-    if (r->leaked_slots != 0) {
-      std::fprintf(stderr, "bench: %s leaked %d VM slot(s)\n", tag,
-                   r->leaked_slots);
-      return 1;
-    }
-    bench::export_metrics(r->metrics, std::string("dedup-catalog-") + tag);
-  }
-
-  const double reduction =
-      1.0 - static_cast<double>(on.storage_payload_bytes) /
-                static_cast<double>(off.storage_payload_bytes
-                                        ? off.storage_payload_bytes
-                                        : 1);
-  std::printf("dedup ablation: storage-node bytes %.1f -> %.1f MiB "
-              "(-%.1f%%, gate >= 30%%), boot p99 %.2f -> %.2f s "
-              "(gate <= +2%%), %llu local / %llu zero / %llu peer hit(s), "
-              "%llu fallback(s)\n",
-              static_cast<double>(off.storage_payload_bytes) /
-                  static_cast<double>(MiB),
-              static_cast<double>(on.storage_payload_bytes) /
-                  static_cast<double>(MiB),
-              reduction * 100.0, off.boot.p99, on.boot.p99,
-              static_cast<unsigned long long>(on.dedup_local_hits),
-              static_cast<unsigned long long>(on.dedup_zero_fills),
-              static_cast<unsigned long long>(on.dedup_peer_hits),
-              static_cast<unsigned long long>(on.dedup_fallbacks));
-
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"hours\": %.3f,\n"
-        "  \"off_storage_bytes\": %llu,\n"
-        "  \"on_storage_bytes\": %llu,\n"
-        "  \"storage_reduction\": %.4f,\n"
-        "  \"off_boot_p99\": %.4f,\n"
-        "  \"on_boot_p99\": %.4f,\n"
-        "  \"dedup_local_hits\": %llu,\n"
-        "  \"dedup_zero_fills\": %llu,\n"
-        "  \"dedup_peer_hits\": %llu,\n"
-        "  \"dedup_fallbacks\": %llu,\n"
-        "  \"dedup_bytes_served\": %llu\n"
-        "}\n",
-        hours, static_cast<unsigned long long>(off.storage_payload_bytes),
-        static_cast<unsigned long long>(on.storage_payload_bytes), reduction,
-        off.boot.p99, on.boot.p99,
-        static_cast<unsigned long long>(on.dedup_local_hits),
-        static_cast<unsigned long long>(on.dedup_zero_fills),
-        static_cast<unsigned long long>(on.dedup_peer_hits),
-        static_cast<unsigned long long>(on.dedup_fallbacks),
-        static_cast<unsigned long long>(on.dedup_bytes_served));
-    std::fclose(f);
-  }
-
-  if (reduction < 0.30) {
-    std::fprintf(stderr,
-                 "bench: dedup+compress cut storage bytes by only %.1f%% "
-                 "(gate >= 30%%)\n",
-                 reduction * 100.0);
-    return 1;
-  }
-  if (on.boot.p99 > off.boot.p99 * 1.02) {
-    std::fprintf(stderr,
-                 "bench: dedup-on p99 boot regressed: %.2f s vs %.2f s "
-                 "(gate <= +2%%)\n",
-                 on.boot.p99, off.boot.p99);
-    return 1;
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return run_ablation(kDedup, argc, argv); }

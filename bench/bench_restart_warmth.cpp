@@ -16,12 +16,11 @@
 //     (adoption verification must not stall the boot path);
 //   * no leaked VM slots in either run.
 
-#include <string>
-
-#include "bench_common.hpp"
+#include "ablation.hpp"
 #include "cloud/engine.hpp"
 
 using namespace vmic;
+using namespace vmic::bench;
 using namespace vmic::cloud;
 
 namespace {
@@ -37,108 +36,50 @@ CloudConfig restart_config(double hours, bool manifest_on) {
   return cfg;
 }
 
+const Ablation kRestart{
+    .bench = "bench_restart_warmth",
+    .default_hours = 0.5,
+    .title = "Durable cache manifest vs cold re-warm through a full restart",
+    .paper = "Razavi & Kielmann, SC'13, cache maintenance (§5) under a "
+             "planned power cycle",
+    .expectation = "re-adopted caches keep their warm clusters: post-restart "
+                   "storage-node bytes drop >= 40% at equal p99 boot latency",
+    .config = restart_config,
+    .tags = {"manifest-off", "manifest-on"},
+    .export_prefix = "restart-warmth-",
+    .columns = {{"arrivals", &CloudResult::arrivals},
+                {"completed", &CloudResult::completed},
+                {"readopted", &CloudResult::caches_readopted},
+                {"p99-boot", [](auto& r) { return r.boot.p99; }, 2},
+                {"post-MiB", in_mib(&CloudResult::post_restart_storage_bytes),
+                 1},
+                {"publishes", &CloudResult::manifest_publishes}},
+    .bytes = &CloudResult::post_restart_storage_bytes,
+    .min_reduction = 0.40,
+    .latency = &CloudResult::boot,
+    .summary = "restart ablation: post-restart storage bytes %.1f -> %.1f "
+               "MiB (-%.1f%%, gate >= 40%%), boot p99 %.2f -> %.2f s "
+               "(gate <= +2%%), ",
+    .summary_tail =
+        [](const CloudResult& on) {
+          std::printf("%d readopted / %d failed / %d stale\n",
+                      on.caches_readopted, on.adopt_failures, on.adopt_stale);
+        },
+    .bytes_failed = "bench: manifest cut post-restart storage bytes by only "
+                    "%.1f%% (gate >= 40%%)\n",
+    .latency_failed = "bench: manifest-on p99 boot regressed: %.2f s vs "
+                      "%.2f s (gate <= +2%%)\n",
+    .json = {{"off_post_restart_bytes", &Outcome::off_bytes},
+             {"on_post_restart_bytes", &Outcome::on_bytes},
+             {"post_restart_reduction", &Outcome::reduction, 4},
+             {"off_boot_p99", &Outcome::off_p99, 4},
+             {"on_boot_p99", &Outcome::on_p99, 4},
+             {"caches_readopted", on(&CloudResult::caches_readopted)},
+             {"adopt_failures", on(&CloudResult::adopt_failures)},
+             {"adopt_stale", on(&CloudResult::adopt_stale)},
+             {"manifest_publishes", on(&CloudResult::manifest_publishes)}},
+};
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  double hours = 0.5;
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (!a.empty() && a[0] != '-') {
-      hours = std::atof(a.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_restart_warmth [hours] [--json-out FILE]\n");
-      return 2;
-    }
-  }
-
-  bench::header(
-      "Durable cache manifest vs cold re-warm through a full restart",
-      "Razavi & Kielmann, SC'13, cache maintenance (§5) under a planned "
-      "power cycle",
-      "re-adopted caches keep their warm clusters: post-restart storage-"
-      "node bytes drop >= 40% at equal p99 boot latency");
-
-  const CloudResult off = run_cloud(restart_config(hours, false));
-  const CloudResult on = run_cloud(restart_config(hours, true));
-
-  bench::row_header({"mode", "arrivals", "completed", "readopted", "p99-boot",
-                     "post-MiB", "publishes"});
-  for (const CloudResult* r : {&off, &on}) {
-    const char* tag = r == &off ? "manifest-off" : "manifest-on";
-    std::printf("%16s%16d%16d%16d%16.2f%16.1f%16llu\n", tag, r->arrivals,
-                r->completed, r->caches_readopted, r->boot.p99,
-                static_cast<double>(r->post_restart_storage_bytes) /
-                    static_cast<double>(MiB),
-                static_cast<unsigned long long>(r->manifest_publishes));
-    if (r->leaked_slots != 0) {
-      std::fprintf(stderr, "bench: %s leaked %d VM slot(s)\n", tag,
-                   r->leaked_slots);
-      return 1;
-    }
-    bench::export_metrics(r->metrics, std::string("restart-warmth-") + tag);
-  }
-
-  const double reduction =
-      1.0 - static_cast<double>(on.post_restart_storage_bytes) /
-                static_cast<double>(off.post_restart_storage_bytes
-                                        ? off.post_restart_storage_bytes
-                                        : 1);
-  std::printf("restart ablation: post-restart storage bytes %.1f -> %.1f "
-              "MiB (-%.1f%%, gate >= 40%%), boot p99 %.2f -> %.2f s "
-              "(gate <= +2%%), %d readopted / %d failed / %d stale\n",
-              static_cast<double>(off.post_restart_storage_bytes) /
-                  static_cast<double>(MiB),
-              static_cast<double>(on.post_restart_storage_bytes) /
-                  static_cast<double>(MiB),
-              reduction * 100.0, off.boot.p99, on.boot.p99,
-              on.caches_readopted, on.adopt_failures, on.adopt_stale);
-
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"hours\": %.3f,\n"
-        "  \"off_post_restart_bytes\": %llu,\n"
-        "  \"on_post_restart_bytes\": %llu,\n"
-        "  \"post_restart_reduction\": %.4f,\n"
-        "  \"off_boot_p99\": %.4f,\n"
-        "  \"on_boot_p99\": %.4f,\n"
-        "  \"caches_readopted\": %d,\n"
-        "  \"adopt_failures\": %d,\n"
-        "  \"adopt_stale\": %d,\n"
-        "  \"manifest_publishes\": %llu\n"
-        "}\n",
-        hours,
-        static_cast<unsigned long long>(off.post_restart_storage_bytes),
-        static_cast<unsigned long long>(on.post_restart_storage_bytes),
-        reduction, off.boot.p99, on.boot.p99, on.caches_readopted,
-        on.adopt_failures, on.adopt_stale,
-        static_cast<unsigned long long>(on.manifest_publishes));
-    std::fclose(f);
-  }
-
-  if (reduction < 0.40) {
-    std::fprintf(stderr,
-                 "bench: manifest cut post-restart storage bytes by only "
-                 "%.1f%% (gate >= 40%%)\n",
-                 reduction * 100.0);
-    return 1;
-  }
-  if (on.boot.p99 > off.boot.p99 * 1.02) {
-    std::fprintf(stderr,
-                 "bench: manifest-on p99 boot regressed: %.2f s vs %.2f s "
-                 "(gate <= +2%%)\n",
-                 on.boot.p99, off.boot.p99);
-    return 1;
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return run_ablation(kRestart, argc, argv); }

@@ -18,12 +18,11 @@
 //     patch pass must not stall the boot path);
 //   * no leaked VM slots in either run.
 
-#include <string>
-
-#include "bench_common.hpp"
+#include "ablation.hpp"
 #include "cloud/engine.hpp"
 
 using namespace vmic;
+using namespace vmic::bench;
 using namespace vmic::cloud;
 
 namespace {
@@ -45,124 +44,71 @@ CloudConfig churn_config(double hours, update::Policy policy) {
   return cfg;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  double hours = 0.5;
-  std::string json_out;
-  bool gated = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (a == "--ungated") {
-      gated = false;
-    } else if (!a.empty() && a[0] != '-') {
-      hours = std::atof(a.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_update_churn [hours] [--json-out FILE] "
-                   "[--ungated]\n");
-      return 2;
-    }
-  }
-
-  bench::header(
-      "Incremental cache rebase vs invalidation under image-update churn",
-      "Razavi & Kielmann, SC'13, cache maintenance on image updates (§5) "
-      "extended to mid-run catalog publishes",
-      "patching only the changed clusters keeps caches warm: post-publish "
-      "storage-node bytes drop >= 25% at equal p99 deploy latency");
-
-  const CloudResult inval =
-      run_cloud(churn_config(hours, update::Policy::invalidate));
-  const CloudResult rebase =
-      run_cloud(churn_config(hours, update::Policy::rebase));
-
-  bench::row_header({"mode", "arrivals", "completed", "publishes", "rebased",
-                     "p99-deploy", "post-MiB"});
-  for (const CloudResult* r : {&inval, &rebase}) {
-    const char* tag = r == &inval ? "invalidate" : "rebase";
-    std::printf("%16s%16d%16d%16d%16d%16.2f%16.1f\n", tag, r->arrivals,
-                r->completed, r->updates_published, r->caches_rebased,
-                r->deploy.p99,
-                static_cast<double>(r->post_update_storage_bytes) /
-                    static_cast<double>(MiB));
-    if (r->leaked_slots != 0) {
-      std::fprintf(stderr, "bench: %s leaked %d VM slot(s)\n", tag,
-                   r->leaked_slots);
-      return 1;
-    }
-    bench::export_metrics(r->metrics, std::string("update-churn-") + tag);
-  }
-
-  const double reduction =
-      1.0 - static_cast<double>(rebase.post_update_storage_bytes) /
-                static_cast<double>(inval.post_update_storage_bytes
-                                        ? inval.post_update_storage_bytes
-                                        : 1);
-  std::printf("churn ablation: post-publish storage bytes %.1f -> %.1f MiB "
-              "(-%.1f%%, gate >= 25%%), deploy p99 %.2f -> %.2f s "
-              "(gate <= +2%%), %d rebased, %llu patched / %llu reused "
-              "cluster(s)\n",
-              static_cast<double>(inval.post_update_storage_bytes) /
-                  static_cast<double>(MiB),
-              static_cast<double>(rebase.post_update_storage_bytes) /
-                  static_cast<double>(MiB),
-              reduction * 100.0, inval.deploy.p99, rebase.deploy.p99,
+const Ablation kChurn{
+    .bench = "bench_update_churn",
+    .default_hours = 0.5,
+    .ungated_flag = true,
+    .title = "Incremental cache rebase vs invalidation under image-update "
+             "churn",
+    .paper = "Razavi & Kielmann, SC'13, cache maintenance on image updates "
+             "(§5) extended to mid-run catalog publishes",
+    .expectation = "patching only the changed clusters keeps caches warm: "
+                   "post-publish storage-node bytes drop >= 25% at equal p99 "
+                   "deploy latency",
+    .config =
+        [](double hours, bool rebase) {
+          return churn_config(hours, rebase ? update::Policy::rebase
+                                            : update::Policy::invalidate);
+        },
+    .tags = {"invalidate", "rebase"},
+    .export_prefix = "update-churn-",
+    .columns = {{"arrivals", &CloudResult::arrivals},
+                {"completed", &CloudResult::completed},
+                {"publishes", &CloudResult::updates_published},
+                {"rebased", &CloudResult::caches_rebased},
+                {"p99-deploy", [](auto& r) { return r.deploy.p99; }, 2},
+                {"post-MiB", in_mib(&CloudResult::post_update_storage_bytes),
+                 1}},
+    .bytes = &CloudResult::post_update_storage_bytes,
+    .min_reduction = 0.25,
+    .latency = &CloudResult::deploy,
+    .summary = "churn ablation: post-publish storage bytes %.1f -> %.1f MiB "
+               "(-%.1f%%, gate >= 25%%), deploy p99 %.2f -> %.2f s "
+               "(gate <= +2%%), ",
+    .summary_tail =
+        [](const CloudResult& rebase) {
+          std::printf(
+              "%d rebased, %llu patched / %llu reused cluster(s)\n",
               rebase.caches_rebased,
               static_cast<unsigned long long>(rebase.rebase_patched_clusters),
               static_cast<unsigned long long>(rebase.rebase_reused_clusters));
+        },
+    .bytes_failed = "bench: rebase cut post-publish storage bytes by only "
+                    "%.1f%% (gate >= 25%%)\n",
+    .latency_failed = "bench: rebase p99 deploy regressed: %.2f s vs %.2f s "
+                      "(gate <= +2%%)\n",
+    .json = {{"updates_published", on(&CloudResult::updates_published)},
+             {"invalidate_post_update_bytes", &Outcome::off_bytes},
+             {"rebase_post_update_bytes", &Outcome::on_bytes},
+             {"post_update_reduction", &Outcome::reduction, 4},
+             {"invalidate_deploy_p99", &Outcome::off_p99, 4},
+             {"rebase_deploy_p99", &Outcome::on_p99, 4},
+             {"caches_rebased", on(&CloudResult::caches_rebased)},
+             {"update_invalidations", off(&CloudResult::update_invalidations)},
+             {"rebase_patched_clusters",
+              on(&CloudResult::rebase_patched_clusters)},
+             {"rebase_reused_clusters",
+              on(&CloudResult::rebase_reused_clusters)}},
+    // A gated run needs a publish to measure.
+    .extra_gate =
+        [](const Outcome& o) {
+          if (o.on.updates_published != 0) return true;
+          std::fprintf(stderr, "bench: no publish event fired in %.2f h\n",
+                       o.hours);
+          return false;
+        },
+};
 
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"hours\": %.3f,\n"
-        "  \"updates_published\": %d,\n"
-        "  \"invalidate_post_update_bytes\": %llu,\n"
-        "  \"rebase_post_update_bytes\": %llu,\n"
-        "  \"post_update_reduction\": %.4f,\n"
-        "  \"invalidate_deploy_p99\": %.4f,\n"
-        "  \"rebase_deploy_p99\": %.4f,\n"
-        "  \"caches_rebased\": %d,\n"
-        "  \"update_invalidations\": %d,\n"
-        "  \"rebase_patched_clusters\": %llu,\n"
-        "  \"rebase_reused_clusters\": %llu\n"
-        "}\n",
-        hours, rebase.updates_published,
-        static_cast<unsigned long long>(inval.post_update_storage_bytes),
-        static_cast<unsigned long long>(rebase.post_update_storage_bytes),
-        reduction, inval.deploy.p99, rebase.deploy.p99, rebase.caches_rebased,
-        inval.update_invalidations,
-        static_cast<unsigned long long>(rebase.rebase_patched_clusters),
-        static_cast<unsigned long long>(rebase.rebase_reused_clusters));
-    std::fclose(f);
-  }
+}  // namespace
 
-  if (!gated) return 0;
-  if (rebase.updates_published == 0) {
-    std::fprintf(stderr, "bench: no publish event fired in %.2f h\n", hours);
-    return 1;
-  }
-  if (reduction < 0.25) {
-    std::fprintf(stderr,
-                 "bench: rebase cut post-publish storage bytes by only "
-                 "%.1f%% (gate >= 25%%)\n",
-                 reduction * 100.0);
-    return 1;
-  }
-  if (rebase.deploy.p99 > inval.deploy.p99 * 1.02) {
-    std::fprintf(stderr,
-                 "bench: rebase p99 deploy regressed: %.2f s vs %.2f s "
-                 "(gate <= +2%%)\n",
-                 rebase.deploy.p99, inval.deploy.p99);
-    return 1;
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return run_ablation(kChurn, argc, argv); }

@@ -1,5 +1,6 @@
 #include "cluster/placement.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "qcow2/chain.hpp"
@@ -7,22 +8,6 @@
 namespace vmic::cluster {
 
 namespace {
-
-/// Timed storage-local copy: disk -> tmpfs on the storage node (no
-/// network involved; both media charge their own time).
-sim::Task<Result<void>> stage_to_tmpfs(Cluster& cl, const std::string& name) {
-  VMIC_CO_TRY(src, cl.storage.disk_dir.open_file(name, /*writable=*/false));
-  VMIC_CO_TRY(dst, cl.storage.mem_dir.create_file(name));
-  const std::uint64_t size = src->size();
-  std::vector<std::uint8_t> buf(1 << 20);
-  for (std::uint64_t off = 0; off < size; off += buf.size()) {
-    const std::uint64_t n = std::min<std::uint64_t>(buf.size(), size - off);
-    std::span<std::uint8_t> chunk{buf.data(), static_cast<std::size_t>(n)};
-    VMIC_CO_TRY_VOID(co_await src->pread(off, chunk));
-    VMIC_CO_TRY_VOID(co_await dst->pwrite(off, chunk));
-  }
-  co_return ok_result();
-}
 
 /// The §3.4 eviction policy, enforced: when the pool decides to evict,
 /// the victims' cache files leave the node's disk.
@@ -59,7 +44,11 @@ sim::Task<Result<PlacementOutcome>> chain_to_proper_cache(
   if (in_mem || on_disk) {
     bool staged = false;
     if (!in_mem) {
-      VMIC_CO_TRY_VOID(co_await stage_to_tmpfs(cl, cache));
+      // Timed storage-local copy (no network involved; both media charge
+      // their own time).
+      VMIC_CO_TRY_VOID(co_await copy_file(cl.storage.disk_dir, cache,
+                                          cl.storage.mem_dir, cache,
+                                          /*flush=*/false));
       cl.storage.mem_pool.admit(base, *cl.storage.mem_dir.file_size(cache));
       staged = true;
     } else {
@@ -85,11 +74,13 @@ sim::Task<Result<PlacementOutcome>> chain_to_proper_cache(
                              std::move(ar.evicted)};
 }
 
-sim::Task<Result<void>> copy_cache_back(Cluster& cl, ComputeNode& node,
-                                        const std::string& base) {
-  const std::string cache = cache_file_for(base);
-  VMIC_CO_TRY(src, node.fs.open_file("disk/" + cache, /*writable=*/false));
-  VMIC_CO_TRY(dst, node.tmpfs_mount.create_file(cache));
+sim::Task<Result<std::uint64_t>> copy_file(io::ImageDirectory& from_dir,
+                                           const std::string& from,
+                                           io::ImageDirectory& to_dir,
+                                           const std::string& to,
+                                           bool flush) {
+  VMIC_CO_TRY(src, from_dir.open_file(from, /*writable=*/false));
+  VMIC_CO_TRY(dst, to_dir.create_file(to));
   const std::uint64_t size = src->size();
   std::vector<std::uint8_t> buf(1 << 20);
   for (std::uint64_t off = 0; off < size; off += buf.size()) {
@@ -98,7 +89,16 @@ sim::Task<Result<void>> copy_cache_back(Cluster& cl, ComputeNode& node,
     VMIC_CO_TRY_VOID(co_await src->pread(off, chunk));
     VMIC_CO_TRY_VOID(co_await dst->pwrite(off, chunk));
   }
-  VMIC_CO_TRY_VOID(co_await dst->flush());
+  if (flush) VMIC_CO_TRY_VOID(co_await dst->flush());
+  co_return size;
+}
+
+sim::Task<Result<void>> copy_cache_back(Cluster& cl, ComputeNode& node,
+                                        const std::string& base) {
+  const std::string cache = cache_file_for(base);
+  VMIC_CO_TRY(size, co_await copy_file(node.fs, "disk/" + cache,
+                                       node.tmpfs_mount, cache,
+                                       /*flush=*/true));
   cl.storage.mem_pool.admit(base, size);
   co_return ok_result();
 }

@@ -50,6 +50,15 @@ sim::Task<Result<PlacementOutcome>> chain_to_proper_cache(
 sim::Task<Result<void>> copy_cache_back(Cluster& cl, ComputeNode& node,
                                         const std::string& base);
 
+/// Timed, chunked copy of `from` in `from_dir` into a new file `to` in
+/// `to_dir`: 1 MiB preads and pwrites, each charged by its own medium,
+/// then a flush of the copy when `flush` is set. Returns the bytes copied.
+sim::Task<Result<std::uint64_t>> copy_file(io::ImageDirectory& from_dir,
+                                           const std::string& from,
+                                           io::ImageDirectory& to_dir,
+                                           const std::string& to,
+                                           bool flush);
+
 /// Canonical cache file name for a base image.
 inline std::string cache_file_for(const std::string& base) {
   return "cache-" + base + ".qcow2";

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "boot/trace.hpp"
+#include "cluster/placement.hpp"
 #include "qcow2/chain.hpp"
 #include "sim/run.hpp"
 #include "util/align.hpp"
@@ -16,45 +17,6 @@ namespace {
 std::string img_name(int vmi) { return "img-" + std::to_string(vmi); }
 std::string cache_name(int vmi) {
   return "cache-" + std::to_string(vmi) + ".qcow2";
-}
-
-/// Timed, chunked copy between two (possibly remote) files.
-sim::Task<Result<void>> copy_file(io::ImageDirectory& from_dir,
-                                  const std::string& from,
-                                  io::ImageDirectory& to_dir,
-                                  const std::string& to) {
-  VMIC_CO_TRY(src, from_dir.open_file(from, /*writable=*/false));
-  VMIC_CO_TRY(dst, to_dir.create_file(to));
-  const std::uint64_t size = src->size();
-  std::vector<std::uint8_t> buf(1 << 20);
-  for (std::uint64_t off = 0; off < size; off += buf.size()) {
-    const std::uint64_t n = std::min<std::uint64_t>(buf.size(), size - off);
-    std::span<std::uint8_t> chunk{buf.data(), static_cast<std::size_t>(n)};
-    VMIC_CO_TRY_VOID(co_await src->pread(off, chunk));
-    VMIC_CO_TRY_VOID(co_await dst->pwrite(off, chunk));
-  }
-  co_return ok_result();
-}
-
-/// Copy a finished cache image from a compute node to the storage node's
-/// tmpfs over the network (Fig 13): reads the local file, streams it
-/// through the up-link via an NFS write. Returns the transferred bytes.
-sim::Task<Result<std::uint64_t>> push_cache_to_storage(
-    ComputeNode& node, const std::string& local_path,
-    const std::string& remote_name) {
-  VMIC_CO_TRY(src, node.fs.open_file(local_path, /*writable=*/false));
-  VMIC_CO_TRY(dst, node.tmpfs_mount.create_file(remote_name));
-  const std::uint64_t size = src->size();
-  std::vector<std::uint8_t> buf(1 << 20);
-  for (std::uint64_t off = 0; off < size; off += buf.size()) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(buf.size(), size - off);
-    std::span<std::uint8_t> chunk{buf.data(), static_cast<std::size_t>(n)};
-    VMIC_CO_TRY_VOID(co_await src->pread(off, chunk));
-    VMIC_CO_TRY_VOID(co_await dst->pwrite(off, chunk));
-  }
-  VMIC_CO_TRY_VOID(co_await dst->flush());
-  co_return size;
 }
 
 struct Runner {
@@ -218,7 +180,7 @@ struct Runner {
         // window, like the paper's tens-of-minutes P2P numbers (§7.1.1).
         const std::string local = "disk/full-" + img_name(v);
         auto rc = co_await copy_file(node.fs, "nfs-base/" + img_name(v),
-                                     node.fs, local);
+                                     node.fs, local, /*flush=*/false);
         if (!rc.ok()) {
           ++failures;
           co_return;
@@ -324,8 +286,11 @@ struct Runner {
       if (obs::tracing(cl.obs)) {
         push_span = cl.obs->tracer.span(vm_track, "vm.cache_push", "cluster");
       }
-      auto pushed = co_await push_cache_to_storage(node, my_cache,
-                                                   cache_name(v));
+      // Copy the finished cache image to the storage node's tmpfs over
+      // the network (Fig 13): reads the local file, streams it through
+      // the up-link via an NFS write.
+      auto pushed = co_await copy_file(node.fs, my_cache, node.tmpfs_mount,
+                                       cache_name(v), /*flush=*/true);
       push_span.end();
       if (pushed.ok()) {
         out.cache_transfer_seconds = sim::to_seconds(cl.env.now() - tx0);

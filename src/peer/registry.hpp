@@ -142,7 +142,6 @@ class SeedRegistry {
     if (!fresh) return;
     it->second = ContentHit{node, img, cluster};
     content_by_node_[node][img].insert(fp);
-    ++content_locations_;
   }
 
   /// `node`'s cache of `img` is gone: drop the content it advertised
@@ -159,7 +158,6 @@ class SeedRegistry {
       dropped += it->second.erase(node);
       if (it->second.empty()) content_.erase(it);
     }
-    content_locations_ -= dropped;
     bn->second.erase(bi);
     if (bn->second.empty()) content_by_node_.erase(bn);
     return dropped;
@@ -179,7 +177,6 @@ class SeedRegistry {
         if (it->second.empty()) content_.erase(it);
       }
     }
-    content_locations_ -= dropped;
     content_by_node_.erase(bn);
     return dropped;
   }
@@ -209,10 +206,6 @@ class SeedRegistry {
     return *best;
   }
 
-  [[nodiscard]] std::uint64_t content_locations() const noexcept {
-    return content_locations_;
-  }
-
  private:
   /// img -> (node -> covered guest byte ranges). Ordered maps: iteration
   /// order is part of the engine's determinism contract.
@@ -223,7 +216,6 @@ class SeedRegistry {
   /// Reverse map for deregistration: node -> img -> advertised fps.
   std::map<int, std::map<std::string, std::set<std::uint64_t>>>
       content_by_node_;
-  std::uint64_t content_locations_ = 0;
 };
 
 }  // namespace vmic::peer

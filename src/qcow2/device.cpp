@@ -361,11 +361,6 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
       backing->set_read_only_mode(true);
     }
     dev->backing_ = std::move(backing);
-    if (dev->backing_->size() < dev->h_.size &&
-        !dev->is_cache_image()) {
-      // A CoW overlay may be larger than its backing (reads past the end
-      // of the backing are zeros) — that is fine; nothing to check.
-    }
     // Resolvers rebuild their own OpenOptions, so push the fill-coalescing
     // mode down the chain by hand — it must be uniform: a cache image in
     // the middle of the chain does the actual CoR.
@@ -702,6 +697,9 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
     VMIC_CO_TRY_VOID(co_await load_refcounts());
   }
   VMIC_CO_TRY_VOID(co_await ensure_dirty());
+  if (old_table_.second != 0) {
+    VMIC_CO_TRY_VOID(co_await release_old_table());
+  }
   const auto found = find_free_run(n);
   assert(found.has_value());
   const std::uint64_t idx = *found;
@@ -730,8 +728,9 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
   if (!r.ok()) {
     // Take the marks back, so the mirror never counts a cluster nothing
     // references. Refcount blocks created on the way stay (the refcount
-    // table references them). The rare failure path just rebuilds the
-    // free-run index from scratch.
+    // table references them; a block whose creation failed freed its own
+    // cluster). The rare failure path just rebuilds the free-run index
+    // from scratch.
     for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 0;
     while (refcounts_.size() > old_size && refcounts_.back() == 0) {
       refcounts_.pop_back();
@@ -753,7 +752,9 @@ sim::Task<Result<void>> Qcow2Device::ensure_refcount_block(
   if ((rt_[bi] & kOffsetMask) != 0) co_return ok_result();
 
   // Allocate a cluster for the new block by hand (cannot recurse through
-  // alloc_clusters: that is what calls us).
+  // alloc_clusters: that is what calls us). The in-memory refcount table
+  // takes the block only once its table entry is written: until then the
+  // file does not reference it, so neither may rt_.
   const auto found = find_free_run(1);
   assert(found.has_value());
   const std::uint64_t b = *found;
@@ -762,51 +763,71 @@ sim::Task<Result<void>> Qcow2Device::ensure_refcount_block(
   if (b + 1 > refcounts_.size()) refcounts_.resize(b + 1, 0);
   refcounts_[b] = 1;
   claim_run(b, b + 1);
-  rt_[bi] = b * ly_.cluster_size();
+  const std::uint64_t cs = ly_.cluster_size();
+  const std::uint64_t block_off = b * cs;
 
   // If the new block's own cluster is covered by a different (absent)
   // block, create that one too; recursion terminates because each level
   // covers rpb clusters.
+  Result<void> r = ok_result();
   if (b / rpb != bi) {
-    VMIC_CO_TRY_VOID(co_await ensure_refcount_block(b));
+    r = co_await ensure_refcount_block(b);
     // b's own refcount lives in the covering block. When the recursion
     // created that block just now it snapshotted the mirror (including
     // b); but when the block already existed nothing persisted b's
     // count — write it explicitly (idempotent in the first case).
-    if (journal_) {
-      VMIC_CO_TRY_VOID(co_await journal_append(
+    if (r.ok() && journal_) {
+      r = co_await journal_append(
           kJournalOpAlloc | kJournalRefRun, b, 1,
-          RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true}));
-    } else {
-      VMIC_CO_TRY_VOID(co_await write_refcount_entries(b, 1));
+          RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true});
+    } else if (r.ok()) {
+      r = co_await write_refcount_entries(b, 1);
     }
   } else if (journal_) {
     // b is covered by the very block being created: the full-block write
     // below persists it, but the record still retires correctly at the
     // next checkpoint and lets replay verify the allocation.
-    VMIC_CO_TRY_VOID(co_await journal_append(
+    r = co_await journal_append(
         kJournalOpAlloc | kJournalRefRun, b, 1,
-        RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true}));
+        RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true});
   }
 
   // Persist the whole new block from the mirror, then its table entry.
-  const std::uint64_t cs = ly_.cluster_size();
-  std::vector<std::uint8_t> buf(cs, 0);
-  const std::uint64_t first = bi * rpb;
-  for (std::uint64_t k = 0; k < rpb; ++k) {
-    const std::uint64_t i = first + k;
-    if (i < refcounts_.size() && refcounts_[i] != 0) {
-      store_be16(buf.data() + k * 2, refcounts_[i]);
+  if (r.ok()) {
+    std::vector<std::uint8_t> buf(cs, 0);
+    const std::uint64_t first = bi * rpb;
+    for (std::uint64_t k = 0; k < rpb; ++k) {
+      const std::uint64_t i = first + k;
+      if (i < refcounts_.size() && refcounts_[i] != 0) {
+        store_be16(buf.data() + k * 2, refcounts_[i]);
+      }
     }
+    r = co_await file_->pwrite(block_off, buf);
   }
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(rt_[bi], buf));
   // Barrier: the block's contents must be durable before the table entry
   // publishes it.
-  VMIC_CO_TRY_VOID(co_await file_->flush());
-  std::uint8_t be[8];
-  store_be64(be, rt_[bi]);
-  VMIC_CO_TRY_VOID(
-      co_await file_->pwrite(h_.refcount_table_offset + bi * 8, be));
+  if (r.ok()) r = co_await file_->flush();
+  if (r.ok()) {
+    std::uint8_t be[8];
+    store_be64(be, block_off);
+    r = co_await file_->pwrite(h_.refcount_table_offset + bi * 8, be);
+  }
+  if (!r.ok()) {
+    // Nothing references the block: free its cluster, and take its count
+    // back from a covering block that already persisted it (a journal
+    // checkpoint writes a dirty block back from the mirror).
+    refcounts_[b] = 0;
+    release_run(b, b + 1);
+    const std::uint64_t cb = b / rpb;
+    if (journal_) {
+      journal_dirty_blocks_.erase(bi);
+    } else if (cb != bi && cb < rt_.size() &&
+               (rt_[cb] & kOffsetMask) != 0) {
+      (void)co_await write_refcount_entries(b, 1);
+    }
+    co_return r.error();
+  }
+  rt_[bi] = block_off;
   co_return ok_result();
 }
 
@@ -852,70 +873,117 @@ sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
   for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 1;
   claim_run(idx, end);
 
+  // The new table's own refcount blocks and refcounts, and any journal
+  // checkpoint on the way, already address the new table, so the device
+  // switches to it in memory now. Until the header write below publishes
+  // it, a failure switches back.
   const std::uint64_t old_off = h_.refcount_table_offset;
   const std::uint64_t old_clusters = h_.refcount_table_clusters;
-
+  std::vector<std::uint64_t> old_rt = rt_;
   rt_.resize(new_clusters * (cs / 8), 0);
   h_.refcount_table_offset = idx * cs;
   h_.refcount_table_clusters = static_cast<std::uint32_t>(new_clusters);
 
   // The new table's own clusters (and possibly blocks for them) must be
   // refcounted; rt_ now has capacity for any block index.
+  Result<void> r = ok_result();
   const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::uint64_t bi = idx / rpb; bi <= (end - 1) / rpb; ++bi) {
-    VMIC_CO_TRY_VOID(co_await ensure_refcount_block(bi * rpb));
+  for (std::uint64_t bi = idx / rpb; r.ok() && bi <= (end - 1) / rpb; ++bi) {
+    r = co_await ensure_refcount_block(bi * rpb);
   }
-  if (journal_) {
+  if (r.ok() && journal_) {
     // The new table's clusters are referenced by the header's own
     // refcount-table pointer (offset 48) once the switch-over publishes.
-    VMIC_CO_TRY_VOID(co_await journal_append(
-        kJournalOpAlloc | kJournalRefRun, idx, new_clusters,
-        RefHint{48, /*run=*/true}));
-  } else {
-    VMIC_CO_TRY_VOID(co_await write_refcount_entries(idx, new_clusters));
+    r = co_await journal_append(kJournalOpAlloc | kJournalRefRun, idx,
+                                new_clusters, RefHint{48, /*run=*/true});
+  } else if (r.ok()) {
+    r = co_await write_refcount_entries(idx, new_clusters);
   }
-
   // Persist the full new table.
-  {
+  if (r.ok()) {
     std::vector<std::uint8_t> buf(new_clusters * cs, 0);
     pack_be64(rt_.data(), rt_.size(), buf.data());
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(h_.refcount_table_offset, buf));
+    r = co_await file_->pwrite(h_.refcount_table_offset, buf);
   }
   // Barrier: the new table must be durable before the header points at it.
-  VMIC_CO_TRY_VOID(co_await file_->flush());
+  if (r.ok()) r = co_await file_->flush();
   // Point the header at it.
-  {
+  if (r.ok()) {
     std::uint8_t be[12];
     store_be64(be, h_.refcount_table_offset);
     store_be32(be + 8, h_.refcount_table_clusters);
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(48, be));
+    r = co_await file_->pwrite(48, be);
   }
+  if (!r.ok()) {
+    // The file still references the old table only: switch back, free
+    // the new table's clusters and every block created for it, and take
+    // back the counts that blocks of the old table already persisted.
+    std::vector<std::uint64_t> taken;
+    for (std::uint64_t i = idx; i < end; ++i) taken.push_back(i);
+    for (std::uint64_t bi = 0; bi < rt_.size(); ++bi) {
+      const std::uint64_t off = rt_[bi] & kOffsetMask;
+      if (off != 0 &&
+          (bi >= old_rt.size() || (old_rt[bi] & kOffsetMask) == 0)) {
+        taken.push_back(off / cs);
+      }
+    }
+    rt_ = std::move(old_rt);
+    h_.refcount_table_offset = old_off;
+    h_.refcount_table_clusters = static_cast<std::uint32_t>(old_clusters);
+    for (const std::uint64_t c : taken) refcounts_[c] = 0;
+    index_free_runs();
+    for (const std::uint64_t c : taken) {
+      const std::uint64_t cb = c / rpb;
+      if (cb >= rt_.size() || (rt_[cb] & kOffsetMask) == 0) continue;
+      if (journal_) {
+        journal_dirty_blocks_.insert(cb);
+      } else {
+        (void)co_await write_refcount_entries(c, 1);
+      }
+    }
+    std::erase_if(journal_dirty_blocks_, [&](std::uint64_t bi) {
+      return bi >= rt_.size() || (rt_[bi] & kOffsetMask) == 0;
+    });
+    co_return r.error();
+  }
+  assert(old_table_.second == 0);
+  old_table_ = {old_off / cs, old_clusters};
+  co_return co_await release_old_table();
+}
+
+sim::Task<Result<void>> Qcow2Device::release_old_table() {
+  const auto [first, count] = old_table_;
   // Barrier: the switch-over must be durable before the old table's
   // clusters are released for reuse — a crash in between may leak the
   // old table, never point at a reclaimed one.
   VMIC_CO_TRY_VOID(co_await file_->flush());
-  // Release the old table's clusters.
-  const std::uint64_t old_first = old_off / cs;
-  for (std::uint64_t i = 0; i < old_clusters; ++i) {
-    refcounts_[old_first + i] = 0;
-  }
-  release_run(old_first, old_first + old_clusters);
+  for (std::uint64_t i = first; i < first + count; ++i) refcounts_[i] = 0;
+  release_run(first, first + count);
+  Result<void> r = ok_result();
   if (journal_) {
     if (!lazy_) {
-      VMIC_CO_TRY_VOID(co_await journal_append(
-          kJournalOpFree | kJournalRefRun, old_first, old_clusters,
-          RefHint{48, /*run=*/true}));
+      r = co_await journal_append(kJournalOpFree | kJournalRefRun, first,
+                                  count, RefHint{48, /*run=*/true});
     }
     // Earlier records may reference slots inside the *old* table (every
     // refcount-block record names its table entry by file offset). Those
     // clusters are free for reuse now, and reused bytes would break the
     // records' reference checks — checkpoint to retire every record
     // before any reuse can happen.
-    VMIC_CO_TRY_VOID(co_await journal_checkpoint());
+    if (r.ok()) r = co_await journal_checkpoint();
   } else if (!lazy_) {
-    VMIC_CO_TRY_VOID(co_await write_refcount_entries(old_first, old_clusters));
+    r = co_await write_refcount_entries(first, count);
   }
-  free_guess_ = std::min(free_guess_, old_first);
+  if (!r.ok()) {
+    // Still counted on disk: keep counting it here too, and try again at
+    // the next allocation or close(). (Replaying a free record twice is
+    // harmless: replay rebuilds counts from references.)
+    for (std::uint64_t i = first; i < first + count; ++i) refcounts_[i] = 1;
+    claim_run(first, first + count);
+    co_return r.error();
+  }
+  old_table_ = {};
+  free_guess_ = std::min(free_guess_, first);
   co_return ok_result();
 }
 
@@ -1298,6 +1366,9 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::store_run(
               p.off, p.bytes.size() / cs, l2_slot(p.vaddr)));
         }
       }
+      // Clusters past the end of the file that the payload write never
+      // reached are not part of the cache's size.
+      trim_refcounts();
       co_return wr.error();
     }
     if (placed > 0) {
@@ -1746,6 +1817,10 @@ sim::Task<Result<void>> Qcow2Device::close() {
     store_be64(be, cache_->current_size);
     VMIC_CO_TRY_VOID(
         co_await file_->pwrite(cache_ext_payload_offset_ + 8, be));
+  }
+  if (old_table_.second != 0) {
+    auto guard = co_await lock_alloc();
+    VMIC_CO_TRY_VOID(co_await release_old_table());
   }
   if (dirty_ && !dirty_inherited_ && !file_->read_only()) {
     // Clean shutdown: settle deferred refcounts, then drop the dirty
@@ -2292,10 +2367,12 @@ sim::Task<Result<RepairReport>> Qcow2Device::repair() {
   VMIC_CO_TRY_VOID(co_await write_clean_bit());
   dirty_inherited_ = false;
 
-  // Refresh the allocator's view of the world.
+  // Refresh the allocator's view of the world. The rebuild counted only
+  // referenced clusters, so a replaced refcount table is released too.
   data_clusters_ = data_clusters;
   l2_clusters_ = l2_clusters;
   free_guess_ = 0;
+  old_table_ = {};
   index_free_runs();
 
   bump(agg_.repair_runs);

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "block/device.hpp"
@@ -143,9 +144,6 @@ class Qcow2Device final : public block::BlockDevice {
   /// (duplicates possible) and fills serialise device-wide. Kept as an
   /// ablation baseline for bench_concurrency_cor.
   void set_cor_single_flight(bool on) noexcept { cor_single_flight_ = on; }
-  [[nodiscard]] bool cor_single_flight() const noexcept {
-    return cor_single_flight_;
-  }
 
   // --- compressed clusters (cache CoR fills) ------------------------------
   /// Opt CoR fills into compressed-cluster storage: compressible clusters
@@ -235,8 +233,6 @@ class Qcow2Device final : public block::BlockDevice {
 
   /// True while the on-disk header carries the dirty bit.
   [[nodiscard]] bool dirty() const noexcept { return dirty_; }
-  /// True when refcount decrements are deferred behind the dirty bit.
-  [[nodiscard]] bool lazy_refcounts() const noexcept { return lazy_; }
 
   // --- journal introspection --------------------------------------------
   /// True when the image carries a refcount journal (kIncompatJournal).
@@ -394,6 +390,10 @@ class Qcow2Device final : public block::BlockDevice {
   sim::Task<Result<void>> write_refcount_entries(std::uint64_t first,
                                                  std::uint64_t count);
   sim::Task<Result<void>> grow_refcount_table(std::uint64_t min_block_index);
+  /// Release the refcount table a growth replaced (`old_table_`) behind a
+  /// flush barrier. A failure keeps it counted for the next allocation or
+  /// close() to retry.
+  sim::Task<Result<void>> release_old_table();
   [[nodiscard]] std::optional<std::uint64_t> find_free_run(std::uint64_t n);
   [[nodiscard]] Result<void> quota_check(std::uint64_t end_cluster) const;
 
@@ -553,6 +553,9 @@ class Qcow2Device final : public block::BlockDevice {
   std::vector<std::uint16_t> refcounts_;  // per-host-cluster mirror
   bool refcounts_loaded_ = false;
   std::uint64_t free_guess_ = 0;
+  /// First cluster and cluster count of a refcount table that a growth
+  /// replaced but could not release yet (count 0 = none).
+  std::pair<std::uint64_t, std::uint64_t> old_table_{};
   /// Maximal runs of free clusters (first -> end, exclusive), kept in sync
   /// with refcounts_ so find_free_run is O(log n + runs skipped) instead
   /// of a linear rescan — the old scan degraded to O(file clusters) per

@@ -48,8 +48,6 @@ class SimEnv {
   SimEnv(const SimEnv&) = delete;
   SimEnv& operator=(const SimEnv&) = delete;
 
-  [[nodiscard]] QueueImpl queue_impl() const noexcept { return impl_; }
-
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedule `h` to resume at absolute time `t` (>= now; an earlier `t`

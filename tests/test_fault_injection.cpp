@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
 #include "sim/task.hpp"
+#include "util/align.hpp"
 #include "util/bytes.hpp"
 #include "util/units.hpp"
 
@@ -248,7 +251,8 @@ TEST(FaultInjection, CorruptL1PointerDetectedByCheck) {
 // corruption). Closed and reopened fault-free, it must map the same
 // clusters, read back every acknowledged write and check clean again.
 // Among the cases: the plain write's pwrite 3 and 6 (64 KiB clusters) are
-// its L1-entry and L2-entry publishes.
+// its L1-entry and L2-entry publishes; the refcount-block write's pwrite 4
+// and 5 are the new block and its refcount-table entry.
 // --------------------------------------------------------------------------
 
 /// Counts the pwrite and flush calls of one file and fails exactly one:
@@ -324,9 +328,38 @@ class OneFaultStore final : public io::ImageDirectory {
   OneFault* fault_;
 };
 
-enum class StoreOp { cow_write, cor_fill, compressed_fill };
+enum class StoreOp {
+  cow_write,
+  cor_fill,
+  compressed_fill,
+  refcount_block_write,  ///< a guest write that needs a new refcount block
+  refcount_table_write,  ///< a guest write that grows the refcount table
+  /// The same growth on an image with a 2-sector refcount journal, which
+  /// checkpoints on nearly every allocation.
+  journaled_table_write,
+};
 
 constexpr std::uint64_t kSweepImage = 1_MiB;
+
+/// The guest writes of a write sweep: two that may fail, then the
+/// follow-up that must succeed.
+struct WritePlan {
+  std::uint64_t len;
+  std::uint64_t off[2];
+  std::uint64_t follow_up;
+};
+
+WritePlan write_plan(StoreOp op) {
+  switch (op) {
+    case StoreOp::refcount_block_write:
+      return {8_KiB, {512_KiB, 768_KiB}, 256_KiB};
+    case StoreOp::refcount_table_write:
+    case StoreOp::journaled_table_write:
+      return {8_KiB, {12_MiB, 13_MiB}, 14_MiB};
+    default:
+      return {4_KiB, {0, 512_KiB}, 256_KiB};
+  }
+}
 
 /// Base content: three 4 KiB clusters in four are 64-byte runs of one
 /// byte value (compressible), every fourth is noise.
@@ -341,9 +374,64 @@ std::vector<std::uint8_t> sweep_base() {
   return v;
 }
 
+/// The bytes of a plain image of 512 B clusters whose guest data, written
+/// from offset 0 fault-free, has grown the file to at least `fill` bytes
+/// (built once per argument set).
+const std::vector<std::uint8_t>& filled_plain_image(
+    std::uint64_t virtual_size, std::uint64_t expected_file_size,
+    std::uint64_t fill, std::uint32_t journal_sectors = 0) {
+  static std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                             std::uint32_t>,
+                  std::vector<std::uint8_t>>
+      built;
+  auto& bytes =
+      built[{virtual_size, expected_file_size, fill, journal_sectors}];
+  if (!bytes.empty()) return bytes;
+  io::MemImageStore mem;
+  auto be = mem.create_file("img.qcow2");
+  EXPECT_TRUE(be.ok());
+  qcow2::Qcow2Device::CreateOptions opt;
+  opt.virtual_size = virtual_size;
+  opt.cluster_bits = 9;
+  opt.expected_file_size = expected_file_size;
+  opt.journal_sectors = journal_sectors;
+  EXPECT_TRUE(sync_wait(qcow2::Qcow2Device::create(**be, opt)).ok());
+  auto dev = sync_wait(qcow2::open_image(mem, "img.qcow2"));
+  EXPECT_TRUE(dev.ok());
+  auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+  const std::vector<std::uint8_t> data(512, 0x3C);
+  for (std::uint64_t off = 0; q->file_bytes() < fill; off += data.size()) {
+    EXPECT_TRUE(sync_wait(q->write(off, data)).ok());
+  }
+  EXPECT_TRUE(sync_wait((*dev)->close()).ok());
+  const SparseBuffer& file = **mem.buffer("img.qcow2");
+  bytes.resize(file.size());
+  file.read(0, bytes);
+  return bytes;
+}
+
 /// Fresh images for `op` in `mem`; returns the file the fault targets.
 std::string make_sweep_images(StoreOp op, io::MemImageStore& mem,
                               const std::vector<std::uint8_t>& base) {
+  if (op == StoreOp::refcount_block_write ||
+      op == StoreOp::refcount_table_write ||
+      op == StoreOp::journaled_table_write) {
+    // 512 B clusters: a refcount block covers 256 clusters, a one-cluster
+    // refcount table 64 blocks (8 MiB of file). The block image holds 250
+    // clusters, so the 8 KiB write's 17 new ones need block 1; the table
+    // images (one-cluster table) end 8 clusters short of 8 MiB, so their
+    // first write needs block 64 and a larger table.
+    const std::uint32_t journal =
+        op == StoreOp::journaled_table_write ? 2 : 0;
+    const auto& image =
+        op == StoreOp::refcount_block_write
+            ? filled_plain_image(kSweepImage, 0, 250 * 512)
+            : filled_plain_image(16_MiB, 1_MiB, 8_MiB - 8 * 512, journal);
+    auto be = mem.create_file("img.qcow2");
+    EXPECT_TRUE(be.ok());
+    EXPECT_TRUE(sync_wait((*be)->pwrite(0, image)).ok());
+    return "img.qcow2";
+  }
   if (op == StoreOp::cow_write) {
     auto be = mem.create_file("img.qcow2");
     EXPECT_TRUE(be.ok());
@@ -391,21 +479,16 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   std::vector<std::uint8_t> buf;
   // Guest writes the device acknowledged: offset -> bytes.
   std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> acked;
-  if (op == StoreOp::cow_write) {
-    const std::vector<std::uint8_t> data(4_KiB, 0xA1);
-    for (const std::uint64_t off : {std::uint64_t{0}, 512_KiB}) {
+  const bool fill = op == StoreOp::cor_fill || op == StoreOp::compressed_fill;
+  if (!fill) {
+    const WritePlan plan = write_plan(op);
+    const std::vector<std::uint8_t> data(plan.len, 0xA1);
+    for (const std::uint64_t off : plan.off) {
       if (sync_wait(q->write(off, data)).ok() ||
           sync_wait(q->write(off, data)).ok()) {
         acked.emplace_back(off, data);
       }
     }
-    *counted = *fault;
-    const std::vector<std::uint8_t> more(4_KiB, 0xB2);
-    ASSERT_TRUE(sync_wait(q->write(256_KiB, more)).ok());
-    acked.emplace_back(256_KiB, more);
-    buf.resize(more.size());
-    ASSERT_TRUE(sync_wait(q->read(256_KiB, buf)).ok());
-    EXPECT_EQ(buf, more);
   } else {
     if (op == StoreOp::compressed_fill) {
       ASSERT_TRUE(q->set_cor_compress(true).ok());
@@ -418,7 +501,22 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
       ASSERT_TRUE(sync_wait(q->read(off, buf)).ok());
       ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + off, len));
     }
-    *counted = *fault;
+  }
+  *counted = *fault;
+  // The recorded size (what a cache's quota bounds and close() persists)
+  // never counts clusters past the end of the file; a compressed payload
+  // may end the file inside its last cluster.
+  EXPECT_LE(q->file_bytes(),
+            align_up((**mem.buffer(file)).size(), q->cluster_size()));
+  if (!fill) {
+    const std::uint64_t at = write_plan(op).follow_up;
+    const std::vector<std::uint8_t> more(4_KiB, 0xB2);
+    ASSERT_TRUE(sync_wait(q->write(at, more)).ok());
+    acked.emplace_back(at, more);
+    buf.resize(more.size());
+    ASSERT_TRUE(sync_wait(q->read(at, buf)).ok());
+    EXPECT_EQ(buf, more);
+  } else {
     buf.resize(12_KiB);
     ASSERT_TRUE(sync_wait(q->read(256_KiB + 100, buf)).ok());
     ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + 256_KiB + 100,
@@ -477,6 +575,18 @@ TEST(FaultInjection, CorFillFreesWhatItTookOnAnyFailure) {
 
 TEST(FaultInjection, CompressedCorFillFreesWhatItTookOnAnyFailure) {
   sweep_single_faults(StoreOp::compressed_fill);
+}
+
+TEST(FaultInjection, RefcountBlockWriteFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::refcount_block_write);
+}
+
+TEST(FaultInjection, RefcountTableGrowthFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::refcount_table_write);
+}
+
+TEST(FaultInjection, JournaledRefcountTableGrowthFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::journaled_table_write);
 }
 
 TEST(FaultInjection, FailedL2ZeroFillKeepsCacheSizeWithinTheFile) {
