@@ -836,6 +836,80 @@ TEST(GoldenMetrics, TieredChurnPinnedValues) {
   expect_cloud_counters_match(r);
 }
 
+// Peer, dedup and compression under two storage outages, built exactly
+// as `vmi-cloudsim --hours 0.25 --seed 11 --vmis 8 --siblings 4
+// --cluster-bits 12 --content-mib 64 --peer on --dedup on --compress on
+// --outages 2` builds it (CI smoke-runs that command for determinism).
+// The one run where the content stage's NFS top-up fails mid-fetch and
+// hands the range over to the seed stage.
+TEST(GoldenMetrics, TieredOutagePinnedValues) {
+  cloud::CloudConfig cfg;
+  cfg.seed = 11;
+  cfg.horizon_s = 0.25 * 3600.0;
+  cfg.workload.num_vmis = 8;
+  cfg.sibling_group_size = 4;
+  cfg.cache_cluster_bits = 12;
+  cfg.content_bytes = 64 * MiB;
+  cfg.peer_transfer = true;
+  cfg.dedup = true;
+  cfg.cache_compress = true;
+  Rng plan_rng(cfg.seed ^ 0xFA11'FA11'FA11'FA11ull);
+  cfg.failures = cloud::plan_failures(0, 2, cfg.cluster.compute_nodes,
+                                      cfg.horizon_s, plan_rng);
+  const cloud::CloudResult r = cloud::run_cloud(cfg);
+
+  EXPECT_EQ(r.sim_events, 207124u);
+  EXPECT_EQ(r.storage_payload_bytes, 20406272u);
+  EXPECT_EQ(r.arrivals, 19);
+  EXPECT_EQ(r.completed, 13);
+  EXPECT_EQ(r.aborted, 6);
+  EXPECT_EQ(r.rejected, 0);
+  EXPECT_EQ(r.retries, 18);
+  EXPECT_EQ(r.deploy_failures, 24);
+  EXPECT_EQ(r.crash_kills, 0);
+  EXPECT_EQ(r.vm_crashes, 0);
+  EXPECT_EQ(r.warm_hits, 9);
+  EXPECT_EQ(r.copyback_skips, 1);
+  EXPECT_EQ(r.node_crashes, 0);
+  EXPECT_EQ(r.node_recoveries, 0);
+  EXPECT_EQ(r.caches_salvaged, 0);
+  EXPECT_EQ(r.caches_invalidated, 0);
+  EXPECT_EQ(r.restarts, 0);
+  EXPECT_EQ(r.drains, 0);
+  EXPECT_EQ(r.caches_readopted, 0);
+  EXPECT_EQ(r.adopt_failures, 0);
+  EXPECT_EQ(r.adopt_stale, 0);
+  EXPECT_EQ(r.manifest_publishes, 0u);
+  EXPECT_EQ(r.post_restart_storage_bytes, 0u);
+  EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_cache_refs, 0);
+  EXPECT_EQ(r.cache_evictions, 1u);
+  EXPECT_EQ(r.peer_seed_hits, 0u);
+  EXPECT_EQ(r.peer_fallback_fills, 599u);
+  EXPECT_EQ(r.peer_bytes_served, 0u);
+  EXPECT_EQ(r.peer_timeouts, 0u);
+  EXPECT_EQ(r.dedup_local_hits, 0u);
+  EXPECT_EQ(r.dedup_zero_fills, 43789u);
+  EXPECT_EQ(r.dedup_peer_hits, 11u);
+  EXPECT_EQ(r.dedup_fallbacks, 1134u);
+  EXPECT_EQ(r.dedup_bytes_served, 133849088u);
+  EXPECT_EQ(r.updates_published, 0);
+  EXPECT_EQ(r.caches_rebased, 0);
+  EXPECT_EQ(r.update_invalidations, 0);
+  EXPECT_EQ(r.rebase_patched_clusters, 0u);
+  EXPECT_EQ(r.rebase_reused_clusters, 0u);
+  EXPECT_EQ(r.post_update_storage_bytes, 0u);
+  EXPECT_EQ(r.peak_queue_depth, 1u);
+  EXPECT_NEAR(r.deploy.p50, 6.088135153, 1e-9);
+  EXPECT_NEAR(r.deploy.p99, 6.817241882, 1e-9);
+
+  expect_cloud_counters_match(r);
+  const obs::MetricPoint* miss =
+      r.metrics.find("peer.fallback", {{"reason", "miss"}});
+  ASSERT_NE(miss, nullptr);
+  EXPECT_EQ(miss->counter, 599u);
+}
+
 // The churn path, scaled down from the deployment benchmark's
 // churn_restart workload to one cloud: 256 MiB images carrying 32 MiB of
 // content, so a rebase walks mostly all-zero 512 B clusters; rebased
