@@ -1,6 +1,7 @@
 #include "cloud/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -9,6 +10,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -203,11 +205,10 @@ class Engine {
       fabric_->bind_obs(cl_.obs);
       c_peer_hits_ = &reg.counter("peer.seed_hits");
       c_peer_fallback_ = &reg.counter("peer.fallback_fills");
-      c_peer_fb_miss_ = &reg.counter("peer.fallback", {{"reason", "miss"}});
-      c_peer_fb_timeout_ =
-          &reg.counter("peer.fallback", {{"reason", "timeout"}});
-      c_peer_fb_crash_ = &reg.counter("peer.fallback", {{"reason", "crash"}});
-      c_peer_fb_error_ = &reg.counter("peer.fallback", {{"reason", "error"}});
+      std::size_t fb = 0;
+      for (const char* why : {"miss", "timeout", "crash", "error"}) {
+        c_peer_fb_[fb++] = &reg.counter("peer.fallback", {{"reason", why}});
+      }
       c_peer_bytes_avoided_ = &reg.counter("peer.storage_bytes_avoided");
       c_peer_reg_ = &reg.counter("peer.registrations");
       c_peer_dereg_ = &reg.counter("peer.deregistrations");
@@ -802,13 +803,10 @@ class Engine {
         [this, ni, vk](std::uint64_t vaddr, std::span<std::uint8_t> dst)
             -> sim::Task<Result<bool>> {
           if (cfg_.dedup) {
-            auto served = co_await dedup_fetch(ni, vk, vaddr, dst);
-            if (served.ok() && *served) co_return true;
+            if (co_await content_stage(ni, vk, vaddr, dst)) co_return true;
           }
-          if (cfg_.peer_transfer) {
-            co_return co_await peer_fetch(ni, vk, vaddr, dst);
-          }
-          co_return false;
+          if (!cfg_.peer_transfer) co_return false;
+          co_return co_await seed_stage(ni, vk, vaddr, dst);
         });
   }
 
@@ -884,208 +882,231 @@ class Engine {
     }
   }
 
-  /// One contiguous piece of a backing fetch served from a cache image.
+  // --- fetch path (DESIGN.md, "Fetch path") ---------------------------------
+  //
+  // A backing fetch a cache image would send down its chain is offered to
+  // stages in order: content, then seed, for a deployment; the previous
+  // version for a rebase. A stage plans without suspending and serve()
+  // reads the plan, so every byte taken from another cache file is walked,
+  // read and verified the same way.
+
+  /// One contiguous piece of a backing fetch.
   struct Chunk {
     std::uint64_t dst_off = 0;  ///< offset into the fetch's buffer
     std::uint64_t src_pos = 0;  ///< byte position in the source image
     std::uint64_t len = 0;
   };
 
-  /// Read `chunks` of a leased cache into `dst` and verify each against
-  /// `vk`'s base content. Returns the bytes read, or 0 when a read fails,
-  /// a chunk does not verify, or a remote seed crashed meanwhile (the
-  /// requester's own node crashing is its deployment's concern).
-  sim::Task<std::uint64_t> read_chunks(const CacheLease& l, VKey vk,
-                                       std::uint64_t vaddr,
-                                       std::span<std::uint8_t> dst,
-                                       const std::vector<Chunk>& chunks) {
-    if (l.q == nullptr || (l.upload && !alive(l))) co_return 0;
+  /// The chunks one source cache serves, under one lease.
+  struct FetchGroup {
+    int node = -1;  ///< the source cache's node
+    VKey vk = 0;    ///< the source cache's image
+    /// Found through the content index: served only while its node's pool
+    /// still holds it (an earlier group's reads suspend).
+    bool by_content = false;
+    const CacheLease* held = nullptr;  ///< the rebase's lease, used as is
+    std::vector<Chunk> chunks;
+  };
+
+  /// Where every byte of one backing fetch comes from.
+  struct FetchPlan {
+    std::vector<FetchGroup> groups;  ///< served in order
+    std::vector<Chunk> zeros;        ///< filled with zeros
+    /// Read from the storage node's base export (src_pos is the base
+    /// byte); adjacent clusters are merged into one chunk, one pread.
+    std::vector<Chunk> nfs;
+  };
+
+  /// Why a serve failed, as `peer.fallback{reason}` counts it.
+  enum class Fallback : std::uint8_t { miss, timeout, crash, error };
+
+  /// True when every byte of `chunks` is allocated in `q`. The seed
+  /// registry and the content index are advisory and may lag a repair,
+  /// and an unallocated cluster of a no_backing device reads as zeros, so
+  /// the file itself decides. Stops at the first hole.
+  sim::Task<bool> allocated(qcow2::Qcow2Device& q,
+                            const std::vector<Chunk>& chunks) {
+    for (const Chunk& ch : chunks) {
+      const std::uint64_t end = ch.src_pos + ch.len;
+      for (std::uint64_t off = ch.src_pos; off < end;) {
+        auto ms = co_await q.map_status(off, end - off);
+        if (!ms.ok() || ms->len == 0 || ms->kind == MapKind::unallocated) {
+          co_return false;
+        }
+        off += ms->len;
+      }
+    }
+    co_return true;
+  }
+
+  /// The one reader of another cache file: walk the allocation of
+  /// `chunks` on lease `l`, read each chunk into `dst` and verify it
+  /// against `vk`'s base content, then move the bytes over the fabric
+  /// when the file is on another node. Nothing once served, else why not.
+  /// Lock order: the requester holds only its own device's CoR in-flight
+  /// range; the lease's device is standalone (own lock hierarchy, never
+  /// takes an alloc lock), so two nodes' orders cannot interleave.
+  sim::Task<std::optional<Fallback>> read_group(
+      const CacheLease& l, int ni, VKey vk, std::uint64_t vaddr,
+      std::span<std::uint8_t> dst, const std::vector<Chunk>& chunks) {
+    // A source node that crashed since the lease reads as a crash once the
+    // lease is released; the requester's own node crashing is its
+    // deployment's concern.
+    auto lost = [&] { return l.upload && !alive(l); };
+    if (l.q == nullptr || lost()) co_return Fallback::error;
+    if (!co_await allocated(*l.q, chunks)) co_return Fallback::miss;
+    if (lost()) co_return Fallback::error;
     std::uint64_t bytes = 0;
     for (const Chunk& ch : chunks) {
       auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
                              static_cast<std::size_t>(ch.len));
-      auto rr = co_await l.q->read(ch.src_pos, sub);
-      if (!rr.ok() || (l.upload && !alive(l)) ||
-          !verify_content(vk, vaddr + ch.dst_off, sub)) {
-        co_return 0;
+      auto rr = co_await l.q->read(ch.src_pos, sub);  // charges its disk
+      if (!rr.ok() || lost() || !verify_content(vk, vaddr + ch.dst_off, sub)) {
+        co_return Fallback::error;
       }
       bytes += ch.len;
     }
-    co_return bytes;
+    if (l.node == ni) co_return std::nullopt;
+    if (!co_await fabric_->transfer(l.node, ni,
+                                    bytes + cfg_.peer.per_fetch_overhead)) {
+      co_return Fallback::timeout;
+    }
+    if (!alive(l)) co_return Fallback::error;
+    c_peer_node_bytes_[static_cast<std::size_t>(l.node)]->inc(bytes);
+    c_peer_bytes_avoided_->inc(bytes);
+    co_return std::nullopt;
   }
 
-  /// Serve one backing fetch by content: per overlapped cluster, zero
-  /// detection, then the local fingerprint index (a sibling image's
-  /// cache on this node), then — with the peer tier on — a peer
-  /// advertising the fingerprint. Clusters nothing advertises are topped
-  /// up from the storage node's NFS export inside the call, so one cold
-  /// private cluster does not forfeit the dedup win for the rest of the
-  /// range. False (whole-range fallthrough to peer_fetch / the backing
-  /// chain) only when nothing resolves, or when a serving tier fails
-  /// mid-flight (stale index, seed crash, NFS error).
-  sim::Task<Result<bool>> dedup_fetch(int ni, VKey vk, std::uint64_t vaddr,
-                                      std::span<std::uint8_t> dst) {
+  /// Serve `plan` into `dst`, the fetch of `vk`'s range at `vaddr` on node
+  /// `ni`: each group under its own lease (unless it holds one), then the
+  /// zeros, then the NFS top-up. All or nothing: nothing once every byte
+  /// is served, else why the first failure happened.
+  sim::Task<std::optional<Fallback>> serve(int ni, VKey vk, std::uint64_t vaddr,
+                                           std::span<std::uint8_t> dst,
+                                           const FetchPlan& plan) {
+    for (const FetchGroup& g : plan.groups) {
+      const auto gn = static_cast<std::size_t>(g.node);
+      // Checked with no suspension before the lease pins the file.
+      if ((g.node != ni && !rt_[gn].up) ||
+          (g.by_content && !cl_.nodes[gn]->pool.contains(img_name(g.vk)))) {
+        co_return Fallback::miss;
+      }
+      std::optional<CacheLease> own;
+      if (g.held == nullptr) own.emplace(co_await lease(g.node, g.vk, ni));
+      const CacheLease& l = g.held != nullptr ? *g.held : *own;
+      const auto why = co_await read_group(l, ni, vk, vaddr, dst, g.chunks);
+      if (own) co_await release(*own);
+      if (why) co_return alive(l) ? *why : Fallback::crash;
+    }
+    for (const Chunk& z : plan.zeros) {
+      std::memset(dst.data() + z.dst_off, 0, static_cast<std::size_t>(z.len));
+    }
+    if (plan.nfs.empty()) co_return std::nullopt;
+    auto bf = cl_.nodes[static_cast<std::size_t>(ni)]->fs.open_file(
+        "nfs-base/" + img_name(vk), /*writable=*/false);
+    if (!bf.ok()) co_return Fallback::error;
+    for (const Chunk& ch : plan.nfs) {
+      auto rr = co_await (*bf)->pread(
+          ch.src_pos, dst.subspan(static_cast<std::size_t>(ch.dst_off),
+                                  static_cast<std::size_t>(ch.len)));
+      if (!rr.ok()) co_return Fallback::error;
+    }
+    co_return std::nullopt;
+  }
+
+  /// Content stage plan, per overlapped cache cluster: zero detection,
+  /// then the local content index (a sibling image's cache on this node),
+  /// then — with the peer tier on — a peer advertising the fingerprint,
+  /// else the NFS top-up. Local groups are served first, each side in
+  /// (node, image) order.
+  FetchPlan plan_content(int ni, VKey vk, std::uint64_t vaddr,
+                         std::uint64_t len) {
     const std::uint64_t ccs = cache_cluster_bytes();
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
     auto& di = didx_[static_cast<std::size_t>(ni)];
-    const std::string self = img_name(vk);
-    std::uint64_t zero_bytes = 0;
-    std::uint64_t zero_hits = 0;
-    std::map<std::string, std::vector<Chunk>> local;  // source image -> chunks
-    std::map<std::pair<int, std::string>, std::vector<Chunk>> remote;
-    std::vector<Chunk> nfs;  // src_pos is the base-image byte position
-
-    // A serving tier failed (or nothing resolved): bump the per-cluster
-    // fallback count for the whole range and let the caller fall through.
-    const std::uint64_t end = vaddr + dst.size();
-    const std::uint64_t range_clusters = (end - 1) / ccs - vaddr / ccs + 1;
-    auto fallthrough = [&]() {
-      c_dedup_fallback_->inc(range_clusters);
-      return false;
-    };
-
-    // Resolve phase: no suspension, so the index cannot shift under it.
     std::set<int> up_nodes;
     if (cfg_.peer_transfer && fabric_) {
       for (std::size_t i = 0; i < rt_.size(); ++i) {
         if (rt_[i].up) up_nodes.insert(static_cast<int>(i));
       }
     }
-    for (std::uint64_t pos = vaddr; pos < end;) {
+    FetchPlan plan;
+    std::map<std::tuple<bool, int, std::string>, std::vector<Chunk>> groups;
+    for (std::uint64_t pos = vaddr; pos < vaddr + len;) {
       const std::uint64_t c = pos / ccs;
-      const std::uint64_t take = std::min(end, (c + 1) * ccs) - pos;
-      const std::uint64_t in_cl = pos - c * ccs;
+      const std::uint64_t take = std::min(vaddr + len, (c + 1) * ccs) - pos;
+      const std::uint64_t at = pos - c * ccs;  // offset inside the cluster
       const FpEntry e = fp_of(vk, c);
+      const auto* loc = e.zero ? nullptr : di.find(e.fp);
+      const auto hit = e.zero || loc != nullptr || up_nodes.empty()
+                           ? std::nullopt
+                           : seeds_.find_content(e.fp, up_nodes, ni,
+                                                 cfg_.peer.max_uploads_per_seed);
       if (e.zero) {
-        std::memset(dst.data() + (pos - vaddr), 0,
-                    static_cast<std::size_t>(take));
-        zero_bytes += take;
-        ++zero_hits;
-      } else if (const auto* loc = di.find(e.fp); loc != nullptr) {
-        local[loc->image].push_back(
-            Chunk{pos - vaddr, loc->cluster * ccs + in_cl, take});
-      } else if (!up_nodes.empty()) {
-        const auto hit = seeds_.find_content(e.fp, up_nodes, ni,
-                                             cfg_.peer.max_uploads_per_seed);
-        if (hit) {
-          remote[{hit->node, hit->img}].push_back(
-              Chunk{pos - vaddr, hit->cluster * ccs + in_cl, take});
-        } else {
-          nfs.push_back(Chunk{pos - vaddr, pos, take});
-        }
+        plan.zeros.push_back(Chunk{pos - vaddr, pos, take});
+      } else if (loc != nullptr) {
+        groups[{false, ni, loc->image}].push_back(
+            Chunk{pos - vaddr, loc->cluster * ccs + at, take});
+      } else if (hit) {
+        groups[{true, hit->node, hit->img}].push_back(
+            Chunk{pos - vaddr, hit->cluster * ccs + at, take});
+      } else if (!plan.nfs.empty() &&
+                 plan.nfs.back().src_pos + plan.nfs.back().len == pos) {
+        plan.nfs.back().len += take;
       } else {
-        nfs.push_back(Chunk{pos - vaddr, pos, take});
+        plan.nfs.push_back(Chunk{pos - vaddr, pos, take});
       }
       pos += take;
     }
-    if (local.empty() && remote.empty() && zero_hits == 0) {
-      // Nothing dedup can add — let the ordinary fallback chain handle
-      // the whole range in one read.
-      co_return fallthrough();
+    for (auto& [key, chunks] : groups) {
+      plan.groups.push_back(FetchGroup{std::get<1>(key),
+                                       vkey_of(std::get<2>(key)),
+                                       /*by_content=*/true, nullptr,
+                                       std::move(chunks)});
     }
+    return plan;
+  }
 
-    // Serve phase. Zero chunks are already memset. Local groups read the
-    // sibling cache on this node's own disk, which is the point: a local
-    // copy beats an NFS round-trip. Remote groups are fingerprint-keyed
-    // peer fetches: addressed by content, so the serving image need not
-    // be the requested one. Verifying every chunk guards against index
-    // staleness (an evicted-then-recreated file).
-    std::uint64_t local_bytes = 0;
-    std::uint64_t local_hits = 0;
-    for (const auto& [src_img, chunks] : local) {
-      if (!node.pool.contains(src_img)) co_return fallthrough();
-      CacheLease l = co_await lease(ni, vkey_of(src_img), ni);
-      const std::uint64_t got = co_await read_chunks(l, vk, vaddr, dst, chunks);
-      co_await release(l);
-      if (got == 0) co_return fallthrough();
-      local_bytes += got;
-      local_hits += chunks.size();
+  /// The content stage: serve a fetch by content, so one cold private
+  /// cluster does not forfeit the dedup win for the rest of the range.
+  /// Hands over when nothing but NFS resolves or the serve fails; then
+  /// every cluster of the range counts as a fallback.
+  sim::Task<bool> content_stage(int ni, VKey vk, std::uint64_t vaddr,
+                                std::span<std::uint8_t> dst) {
+    const std::uint64_t ccs = cache_cluster_bytes();
+    auto clusters = [ccs](std::uint64_t pos, std::uint64_t len) {
+      return (pos + len - 1) / ccs - pos / ccs + 1;
+    };
+    const FetchPlan plan = plan_content(ni, vk, vaddr, dst.size());
+    std::optional<Fallback> failed = Fallback::miss;
+    if (!plan.groups.empty() || !plan.zeros.empty()) {
+      failed = co_await serve(ni, vk, vaddr, dst, plan);
     }
-    std::uint64_t peer_bytes = 0;
-    std::uint64_t peer_hits = 0;
-    for (const auto& [key, chunks] : remote) {
-      const auto& [sn, src_img] = key;
-      if (!rt_[static_cast<std::size_t>(sn)].up ||
-          !cl_.nodes[static_cast<std::size_t>(sn)]->pool.contains(src_img)) {
-        co_return fallthrough();
-      }
-      CacheLease l = co_await lease(sn, vkey_of(src_img), ni);
-      const std::uint64_t moved =
-          co_await read_chunks(l, vk, vaddr, dst, chunks);
-      bool good = moved > 0;
-      if (good) {
-        good = co_await fabric_->transfer(
-                   sn, ni, moved + cfg_.peer.per_fetch_overhead) &&
-               alive(l);
-      }
-      co_await release(l);
-      if (!good) co_return fallthrough();
-      peer_bytes += moved;
-      peer_hits += chunks.size();
-      c_peer_node_bytes_[static_cast<std::size_t>(sn)]->inc(moved);
-      c_peer_bytes_avoided_->inc(moved);
+    if (failed) {
+      c_dedup_fallback_->inc(clusters(vaddr, dst.size()));
+      co_return false;
     }
-
-    // NFS top-up: clusters no tier advertises still come from the storage
-    // node, but only those clusters — the rest of the range keeps its
-    // dedup win. Adjacent chunks coalesce into one pread (dst_off tracks
-    // src_pos exactly, so source contiguity implies destination
-    // contiguity). These clusters count as fallbacks: they are the bytes
-    // dedup could not keep off the storage node.
-    if (!nfs.empty()) {
-      auto bf = node.fs.open_file("nfs-base/" + self, /*writable=*/false);
-      if (!bf.ok()) {
-        co_return fallthrough();
-      }
-      bool good = true;
-      for (std::size_t i = 0; i < nfs.size() && good;) {
-        std::size_t j = i + 1;
-        std::uint64_t len = nfs[i].len;
-        while (j < nfs.size() &&
-               nfs[j].src_pos == nfs[j - 1].src_pos + nfs[j - 1].len) {
-          len += nfs[j].len;
-          ++j;
-        }
-        auto rr = co_await (*bf)->pread(
-            nfs[i].src_pos,
-            dst.subspan(static_cast<std::size_t>(nfs[i].dst_off),
-                        static_cast<std::size_t>(len)));
-        good = rr.ok();
-        i = j;
-      }
-      if (!good) {
-        co_return fallthrough();
-      }
-      c_dedup_fallback_->inc(nfs.size());
+    // Topped-up clusters are the ones dedup could not keep off the
+    // storage node.
+    for (const Chunk& ch : plan.nfs) {
+      c_dedup_fallback_->inc(clusters(ch.src_pos, ch.len));
     }
-
-    // Whole range served — commit the accounting.
-    if (local_hits > 0) c_dedup_local_->inc(local_hits);
-    if (peer_hits > 0) c_dedup_peer_->inc(peer_hits);
-    if (zero_hits > 0) {
-      c_dedup_zero_->inc(zero_hits);
-      c_dedup_bytes_zero_->inc(zero_bytes);
+    for (const FetchGroup& g : plan.groups) {
+      const bool local = g.node == ni;
+      (local ? c_dedup_local_ : c_dedup_peer_)->inc(g.chunks.size());
+      for (const Chunk& ch : g.chunks) {
+        (local ? c_dedup_bytes_local_ : c_dedup_bytes_peer_)->inc(ch.len);
+      }
     }
-    if (local_bytes > 0) c_dedup_bytes_local_->inc(local_bytes);
-    if (peer_bytes > 0) c_dedup_bytes_peer_->inc(peer_bytes);
+    c_dedup_zero_->inc(plan.zeros.size());
+    for (const Chunk& z : plan.zeros) c_dedup_bytes_zero_->inc(z.len);
     co_return true;
   }
 
-  /// Account one fetch that fell back to the storage node's NFS mount.
-  void peer_fallback(obs::Counter* reason) {
-    c_peer_fallback_->inc();
-    reason->inc();
-  }
-
-  /// Serve one backing fetch from the least-loaded covering seed; true =
-  /// `dst` filled peer-to-peer, false = fall back to NFS (coverage miss,
-  /// every seed loaded, transfer timeout, or the seed crashing
-  /// mid-transfer). Lock order: the requester holds only its own device's
-  /// CoR in-flight range; the seed side is the lease's standalone device
-  /// (own lock hierarchy, never takes an alloc lock), so the two nodes'
-  /// orders cannot interleave with lock_alloc()/RangeLock.
-  sim::Task<Result<bool>> peer_fetch(int ni, VKey vk, std::uint64_t vaddr,
-                                     std::span<std::uint8_t> dst) {
+  /// The seed stage: serve the whole range from the least-loaded seed
+  /// whose registered coverage holds it. A miss or a failed serve is one
+  /// `peer.fallback{reason}`.
+  sim::Task<bool> seed_stage(int ni, VKey vk, std::uint64_t vaddr,
+                             std::span<std::uint8_t> dst) {
     const std::string img = img_name(vk);
     const std::set<int>* holders = idx_->warm_holders(img);
     const int seed =
@@ -1093,47 +1114,38 @@ class Engine {
             ? -1
             : seeds_.pick_seed(*holders, img, vaddr, vaddr + dst.size(), ni,
                                cfg_.peer.max_uploads_per_seed);
-    if (seed < 0 || !rt_[static_cast<std::size_t>(seed)].up) {
-      peer_fallback(c_peer_fb_miss_);
-      co_return false;
+    std::optional<Fallback> failed = Fallback::miss;
+    if (seed >= 0) {
+      FetchPlan plan;
+      plan.groups.push_back(FetchGroup{seed, vk, /*by_content=*/false,
+                                       nullptr, {Chunk{0, vaddr, dst.size()}}});
+      failed = co_await serve(ni, vk, vaddr, dst, plan);
     }
-    CacheLease l = co_await lease(seed, vk, ni);
-    bool served = false;
-    obs::Counter* fb = c_peer_fb_error_;
-    if (l.q != nullptr && alive(l)) {
-      // Re-verify allocation against the file itself: registry coverage
-      // is advisory and may lag a repair. An unallocated cluster on a
-      // no_backing device would read as zeros — never serve those. Stop
-      // at the first hole: walking past it would only add I/O.
-      bool allocated = true;
-      const std::uint64_t end = vaddr + dst.size();
-      for (std::uint64_t off = vaddr; allocated && off < end;) {
-        auto ms = co_await l.q->map_status(off, end - off);
-        allocated =
-            ms.ok() && ms->len != 0 && ms->kind != MapKind::unallocated;
-        if (allocated) off += ms->len;
-      }
-      if (!allocated) fb = c_peer_fb_miss_;
-      if (allocated && alive(l)) {
-        auto rr = co_await l.q->read(vaddr, dst);  // charges the seed's disk
-        if (rr.ok() && alive(l)) {
-          const bool done = co_await fabric_->transfer(
-              seed, ni, dst.size() + cfg_.peer.per_fetch_overhead);
-          served = done && alive(l);
-          if (!done) fb = c_peer_fb_timeout_;
-        }
-      }
+    if (!failed) {
+      c_peer_hits_->inc();
+      res_.peer_bytes_served += dst.size();
+      co_return true;
     }
-    co_await release(l);
-    if (!served) {
-      peer_fallback(alive(l) ? fb : c_peer_fb_crash_);
-      co_return false;
+    c_peer_fallback_->inc();
+    c_peer_fb_[static_cast<std::size_t>(*failed)]->inc();
+    co_return false;
+  }
+
+  /// The previous-version stage of a rebase to `vk`: serve the range from
+  /// the old cache on the rebase's lease `old` when every cache cluster it
+  /// covers is content-identical across the two versions.
+  sim::Task<bool> previous_stage(const CacheLease& old, VKey vk,
+                                 std::uint64_t vaddr,
+                                 std::span<std::uint8_t> dst) {
+    const std::uint64_t ccs = cache_cluster_bytes();
+    for (std::uint64_t c = vaddr / ccs; c * ccs < vaddr + dst.size(); ++c) {
+      if (fp_of(old.vk, c).fp != fp_of(vk, c).fp) co_return false;
     }
-    c_peer_hits_->inc();
-    res_.peer_bytes_served += dst.size();
-    c_peer_node_bytes_[static_cast<std::size_t>(seed)]->inc(dst.size());
-    c_peer_bytes_avoided_->inc(dst.size());
-    co_return true;
+    FetchPlan plan;
+    plan.groups.push_back(FetchGroup{old.node, old.vk, /*by_content=*/false,
+                                     &old, {Chunk{0, vaddr, dst.size()}}});
+    const auto failed = co_await serve(old.node, vk, vaddr, dst, plan);
+    co_return !failed;
   }
 
   // --- queueing --------------------------------------------------------------
@@ -1687,15 +1699,14 @@ class Engine {
     //    only its allocated clusters, whose extents are the warmth worth
     //    carrying over.
     CacheLease src = co_await lease(ni, old_vk, ni);
-    qcow2::Qcow2Device* oq = src.q;
-    bool ok = oq != nullptr;
+    bool ok = src.q != nullptr;
     bool held_new = false;
     block::DevicePtr new_dev;
     std::uint64_t patched = 0;
     std::uint64_t reused = 0;
     Extents extents;
     if (ok && rt.epoch == epoch) {
-      co_await walk_extents(*oq, [&](std::uint64_t lo, std::uint64_t hi) {
+      co_await walk_extents(*src.q, [&](std::uint64_t lo, std::uint64_t hi) {
         extents.emplace_back(lo, hi);
       });
     }
@@ -1736,24 +1747,13 @@ class Engine {
       } else {
         enable_compression(*nq, new_vk);
         const std::uint64_t ccs = cache_cluster_bytes();
+        // Anything the previous-version stage does not serve falls
+        // through to the NFS read of the new base.
         nq->set_backing_fetch_hook(
-            [this, oq, old_vk, new_vk, ccs](std::uint64_t vaddr,
-                                            std::span<std::uint8_t> dst)
+            [this, &src, new_vk](std::uint64_t vaddr,
+                                 std::span<std::uint8_t> dst)
                 -> sim::Task<Result<bool>> {
-              // Serve a range from the old cache only when every cache
-              // cluster it covers is content-identical across the two
-              // versions; anything else falls through to the NFS read
-              // of the new base.
-              const std::uint64_t lo = vaddr / ccs;
-              const std::uint64_t hi = (vaddr + dst.size() + ccs - 1) / ccs;
-              for (std::uint64_t c = lo; c < hi; ++c) {
-                if (fp_of(old_vk, c).fp != fp_of(new_vk, c).fp) {
-                  co_return false;
-                }
-              }
-              auto rr = co_await oq->read(vaddr, dst);
-              if (!rr.ok()) co_return rr.error();
-              co_return true;
+              co_return co_await previous_stage(src, new_vk, vaddr, dst);
             });
         // Drive the fills in homogeneous changed/unchanged runs so each
         // CoR pass resolves one way (and pays its one flush barrier for
@@ -2098,10 +2098,7 @@ class Engine {
   std::optional<peer::Fabric> fabric_;
   obs::Counter* c_peer_hits_ = nullptr;
   obs::Counter* c_peer_fallback_ = nullptr;
-  obs::Counter* c_peer_fb_miss_ = nullptr;
-  obs::Counter* c_peer_fb_timeout_ = nullptr;
-  obs::Counter* c_peer_fb_crash_ = nullptr;
-  obs::Counter* c_peer_fb_error_ = nullptr;
+  std::array<obs::Counter*, 4> c_peer_fb_{};  ///< indexed by Fallback
   obs::Counter* c_peer_bytes_avoided_ = nullptr;
   obs::Counter* c_peer_reg_ = nullptr;
   obs::Counter* c_peer_dereg_ = nullptr;
