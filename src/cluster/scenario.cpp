@@ -178,7 +178,10 @@ struct Runner {
         // §2's naive deployment: stream the complete VMI to the node's
         // disk before booting ("obviously slow"). Counted in the boot
         // window, like the paper's tens-of-minutes P2P numbers (§7.1.1).
-        const std::string local = "disk/full-" + img_name(v);
+        // Each VM copies into its own file: a second create_file of a
+        // shared one would replace it under a VM still writing it.
+        const std::string local =
+            "disk/vm" + std::to_string(i) + "-full-" + img_name(v);
         auto rc = co_await copy_file(node.fs, "nfs-base/" + img_name(v),
                                      node.fs, local, /*flush=*/false);
         if (!rc.ok()) {

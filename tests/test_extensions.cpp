@@ -56,6 +56,21 @@ TEST(FullCopy, MuchSlowerThanOnDemand) {
   EXPECT_GE(full.storage_payload_bytes, 2 * 256_MiB);
 }
 
+TEST(FullCopy, EveryVmOfOneImageOnOneNodeCopiesItsOwn) {
+  // Three VMs of one image on one node: each streams the whole image into
+  // its own file, so no copy replaces another that is still being written.
+  ScenarioConfig sc;
+  sc.profile = tiny_profile();
+  sc.num_vms = 3;
+  sc.num_vmis = 1;
+  sc.mode = CacheMode::full_copy;
+  const auto r = run_scenario(small_cluster(1), sc);
+
+  ASSERT_EQ(r.vms.size(), 3u);
+  for (const auto& vm : r.vms) EXPECT_GT(vm.boot.boot_seconds, 0.0);
+  EXPECT_GE(r.storage_payload_bytes, 3 * 256_MiB);
+}
+
 // ---------------------------------------------------------------------------
 // Mixed warm/cold (§5.3.1)
 // ---------------------------------------------------------------------------
