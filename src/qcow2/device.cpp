@@ -278,7 +278,6 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   auto dev = std::unique_ptr<Qcow2Device>(
       new Qcow2Device(std::move(file), std::move(parsed)));
   dev->ro_mode_ = !opt.writable;
-  dev->cor_single_flight_ = opt.cor_single_flight;
 
   // Load the L1 table and the refcount table (QEMU keeps both in memory
   // as well); the per-cluster mirror is loaded lazily on first allocation
@@ -361,16 +360,6 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
       backing->set_read_only_mode(true);
     }
     dev->backing_ = std::move(backing);
-    // Resolvers rebuild their own OpenOptions, so push the fill-coalescing
-    // mode down the chain by hand — it must be uniform: a cache image in
-    // the middle of the chain does the actual CoR.
-    for (block::BlockDevice* b = dev->backing_.get(); b != nullptr;
-         b = b->backing()) {
-      if (b->format_name() == "qcow2") {
-        static_cast<Qcow2Device*>(b)->cor_single_flight_ =
-            opt.cor_single_flight;
-      }
-    }
   }
 
   co_return block::DevicePtr{std::move(dev)};
@@ -697,7 +686,7 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
     VMIC_CO_TRY_VOID(co_await load_refcounts());
   }
   VMIC_CO_TRY_VOID(co_await ensure_dirty());
-  if (old_table_.second != 0) {
+  if (old_table_.count != 0) {
     VMIC_CO_TRY_VOID(co_await release_old_table());
   }
   const auto found = find_free_run(n);
@@ -946,13 +935,13 @@ sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
     });
     co_return r.error();
   }
-  assert(old_table_.second == 0);
-  old_table_ = {old_off / cs, old_clusters};
+  assert(old_table_.count == 0);
+  old_table_ = {old_off / cs, old_clusters, 48};
   co_return co_await release_old_table();
 }
 
 sim::Task<Result<void>> Qcow2Device::release_old_table() {
-  const auto [first, count] = old_table_;
+  const auto [first, count, ref_off] = old_table_;
   // Barrier: the switch-over must be durable before the old table's
   // clusters are released for reuse — a crash in between may leak the
   // old table, never point at a reclaimed one.
@@ -963,13 +952,13 @@ sim::Task<Result<void>> Qcow2Device::release_old_table() {
   if (journal_) {
     if (!lazy_) {
       r = co_await journal_append(kJournalOpFree | kJournalRefRun, first,
-                                  count, RefHint{48, /*run=*/true});
+                                  count, RefHint{ref_off, /*run=*/true});
     }
-    // Earlier records may reference slots inside the *old* table (every
-    // refcount-block record names its table entry by file offset). Those
-    // clusters are free for reuse now, and reused bytes would break the
-    // records' reference checks — checkpoint to retire every record
-    // before any reuse can happen.
+    // Earlier records may reference slots inside the *old* table (a
+    // refcount block's record names its table entry, an L2 table's its L1
+    // slot, by file offset). Those clusters are free for reuse now, and
+    // reused bytes would break the records' reference checks — checkpoint
+    // to retire every record before any reuse can happen.
     if (r.ok()) r = co_await journal_checkpoint();
   } else if (!lazy_) {
     r = co_await write_refcount_entries(first, count);
@@ -1753,49 +1742,47 @@ sim::Task<Result<void>> Qcow2Device::resize(std::uint64_t new_size) {
         div_ceil(std::uint64_t{needed} * 8, cs);
     // The relocated L1 is referenced by the header's l1_table_offset
     // field (offset 40) once the switch-over publishes.
-    VMIC_CO_TRY(new_off,
-                co_await alloc_clusters(new_clusters,
-                                        RefHint{40, /*run=*/true}));
+    const RefHint hint{40, /*run=*/true};
+    VMIC_CO_TRY(new_off, co_await alloc_clusters(new_clusters, hint));
 
     std::vector<std::uint64_t> new_l1(new_clusters * cs / 8, 0);
     std::copy(l1_.begin(), l1_.end(), new_l1.begin());
     std::vector<std::uint8_t> be(new_clusters * cs, 0);
-    for (std::size_t i = 0; i < new_l1.size(); ++i) {
-      store_be64(be.data() + i * 8, new_l1[i]);
-    }
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(new_off, be));
+    pack_be64(new_l1.data(), new_l1.size(), be.data());
+    auto wr = co_await file_->pwrite(new_off, be);
     // Barrier: the new table must be durable before the header points at
     // it.
-    VMIC_CO_TRY_VOID(co_await file_->flush());
-
-    // Release the old table and point the header at the new one.
-    const std::uint64_t old_off = h_.l1_table_offset;
-    const std::uint64_t old_clusters =
-        div_ceil(std::uint64_t{h_.l1_size} * 8, cs);
+    if (wr.ok()) wr = co_await file_->flush();
+    if (wr.ok()) {
+      std::uint8_t hdr[12];
+      store_be32(hdr, static_cast<std::uint32_t>(new_l1.size()));
+      store_be64(hdr + 4, new_off);
+      wr = co_await file_->pwrite(36, hdr);
+    }
+    if (!wr.ok()) {
+      // The file still maps the old table only: release the new one's
+      // clusters, and drop the mirror's tail past the end of the file,
+      // which a failed table write never reached.
+      VMIC_CO_TRY_VOID(co_await free_clusters(new_off, new_clusters, hint));
+      trim_refcounts();
+      co_return wr.error();
+    }
+    // The header names the new table; the in-memory copy follows it. The
+    // old table's clusters are released behind the switch-over's flush
+    // barrier, now or, if that fails, at the next allocation or close().
+    assert(old_table_.count == 0);
+    old_table_ = {h_.l1_table_offset / cs,
+                  div_ceil(std::uint64_t{h_.l1_size} * 8, cs), 40};
     l1_ = std::move(new_l1);
     h_.l1_table_offset = new_off;
     h_.l1_size = static_cast<std::uint32_t>(l1_.size());
-    std::uint8_t hdr[12];
-    store_be32(hdr, h_.l1_size);
-    store_be64(hdr + 4, h_.l1_table_offset);
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(36, hdr));
-    // Barrier: the switch-over must be durable before the old table's
-    // clusters are reusable.
-    VMIC_CO_TRY_VOID(co_await file_->flush());
-    VMIC_CO_TRY_VOID(co_await free_clusters(old_off, old_clusters,
-                                            RefHint{40, /*run=*/true}));
-    if (journal_) {
-      // Earlier L2-table records name their L1 slot by file offset —
-      // inside the *old* table, whose clusters are reusable now. Retire
-      // every record before reuse can scramble their reference checks.
-      VMIC_CO_TRY_VOID(co_await journal_checkpoint());
-    }
+    VMIC_CO_TRY_VOID(co_await release_old_table());
   }
 
-  h_.size = new_size;
   std::uint8_t be[8];
-  store_be64(be, h_.size);
+  store_be64(be, new_size);
   VMIC_CO_TRY_VOID(co_await file_->pwrite(24, be));
+  h_.size = new_size;
   co_return ok_result();
 }
 
@@ -1818,7 +1805,7 @@ sim::Task<Result<void>> Qcow2Device::close() {
     VMIC_CO_TRY_VOID(
         co_await file_->pwrite(cache_ext_payload_offset_ + 8, be));
   }
-  if (old_table_.second != 0) {
+  if (old_table_.count != 0) {
     auto guard = co_await lock_alloc();
     VMIC_CO_TRY_VOID(co_await release_old_table());
   }

@@ -390,9 +390,9 @@ class Qcow2Device final : public block::BlockDevice {
   sim::Task<Result<void>> write_refcount_entries(std::uint64_t first,
                                                  std::uint64_t count);
   sim::Task<Result<void>> grow_refcount_table(std::uint64_t min_block_index);
-  /// Release the refcount table a growth replaced (`old_table_`) behind a
-  /// flush barrier. A failure keeps it counted for the next allocation or
-  /// close() to retry.
+  /// Release the table a growth or relocation replaced (`old_table_`)
+  /// behind a flush barrier. A failure keeps it counted for the next
+  /// allocation or close() to retry.
   sim::Task<Result<void>> release_old_table();
   [[nodiscard]] std::optional<std::uint64_t> find_free_run(std::uint64_t n);
   [[nodiscard]] Result<void> quota_check(std::uint64_t end_cluster) const;
@@ -553,9 +553,14 @@ class Qcow2Device final : public block::BlockDevice {
   std::vector<std::uint16_t> refcounts_;  // per-host-cluster mirror
   bool refcounts_loaded_ = false;
   std::uint64_t free_guess_ = 0;
-  /// First cluster and cluster count of a refcount table that a growth
-  /// replaced but could not release yet (count 0 = none).
-  std::pair<std::uint64_t, std::uint64_t> old_table_{};
+  /// A table that a refcount-table growth or an L1 relocation replaced
+  /// but could not release yet (count 0 = none): its first cluster, its
+  /// cluster count and the header field that pointed at it.
+  struct OldTable {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    std::uint64_t ref_off = 0;
+  } old_table_;
   /// Maximal runs of free clusters (first -> end, exclusive), kept in sync
   /// with refcounts_ so find_free_run is O(log n + runs skipped) instead
   /// of a linear rescan — the old scan degraded to O(file clusters) per
