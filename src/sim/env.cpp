@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace vmic::sim {
 
@@ -20,17 +18,9 @@ static_assert(kMinBuckets % kWordBits == 0);
 /// even at the largest wheel size.
 constexpr SimTime kMaxWidth = SimTime{1} << 42;
 
-SimEnv::QueueImpl default_impl() {
-  const char* v = std::getenv("VMIC_SIM_QUEUE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) {
-    return SimEnv::QueueImpl::heap;
-  }
-  return SimEnv::QueueImpl::calendar;
-}
-
 }  // namespace
 
-SimEnv::SimEnv() : SimEnv(default_impl()) {}
+SimEnv::SimEnv() : SimEnv(QueueImpl::calendar) {}
 
 SimEnv::SimEnv(QueueImpl impl) : impl_(impl) {
   if (impl_ == QueueImpl::calendar) {

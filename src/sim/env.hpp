@@ -30,10 +30,10 @@ namespace vmic::sim {
 /// (util::SlotPool) and TimerIds embed (slot, generation), so cancel()
 /// unlinks the entry in place in O(1) and `pending_events()` is exact —
 /// there is no tombstone set. The pre-change binary-heap queue
-/// is retained as an ablation (`QueueImpl::heap`, or environment
-/// variable `VMIC_SIM_QUEUE=heap`) so benches can measure the swap and
-/// differential tests can pit the two implementations against each
-/// other; both produce the identical event fire order.
+/// is retained as an ablation (`SimEnv(QueueImpl::heap)`) so benches can
+/// measure the swap and differential tests can pit the two
+/// implementations against each other; both produce the identical event
+/// fire order.
 class SimEnv {
  public:
   using TimerId = std::uint64_t;
@@ -41,8 +41,7 @@ class SimEnv {
   /// Event-queue implementation selector (ablation switch).
   enum class QueueImpl { calendar, heap };
 
-  /// Default: calendar queue, unless VMIC_SIM_QUEUE=heap is set in the
-  /// environment (process-wide ablation without touching call sites).
+  /// Default: the calendar queue.
   SimEnv();
   explicit SimEnv(QueueImpl impl);
   SimEnv(const SimEnv&) = delete;
