@@ -917,7 +917,8 @@ class Engine {
     std::vector<Chunk> nfs;
   };
 
-  /// Why a serve failed, as `peer.fallback{reason}` counts it.
+  /// Why a serve failed, as `peer.fallback{reason}` counts it (in the
+  /// order those counters are registered).
   enum class Fallback : std::uint8_t { miss, timeout, crash, error };
 
   /// True when every byte of `chunks` is allocated in `q`. The seed
