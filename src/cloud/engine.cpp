@@ -857,13 +857,13 @@ class Engine {
   [[nodiscard]] bool verify_content(VKey vk, std::uint64_t pos,
                                     std::span<const std::uint8_t> bytes) {
     SparseBuffer* base = *cl_.storage.disk_dir.buffer(img_name(vk));
-    std::vector<std::uint8_t> want(bytes.size(), 0);
+    verify_buf_.assign(bytes.size(), 0);
     if (pos < base->size()) {
-      base->read(pos, {want.data(),
+      base->read(pos, {verify_buf_.data(),
                        static_cast<std::size_t>(std::min<std::uint64_t>(
                            bytes.size(), base->size() - pos))});
     }
-    return std::memcmp(want.data(), bytes.data(), bytes.size()) == 0;
+    return std::memcmp(verify_buf_.data(), bytes.data(), bytes.size()) == 0;
   }
 
   /// Guest range [lo, hi) of `vk`'s cache on node `ni` became servable:
@@ -2110,6 +2110,7 @@ class Engine {
   std::vector<std::unordered_map<std::uint64_t, FpEntry>> fp_memo_;
   std::uint64_t zero_fp_ = 0;          ///< fingerprint of an all-zero cluster
   std::vector<std::uint8_t> fp_buf_;   ///< fp_of's cluster scratch
+  std::vector<std::uint8_t> verify_buf_;  ///< verify_content's scratch
   obs::Counter* c_dedup_local_ = nullptr;
   obs::Counter* c_dedup_zero_ = nullptr;
   obs::Counter* c_dedup_peer_ = nullptr;
