@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "io/mem_store.hpp"
+#include "io_log.hpp"
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
 #include "qcow2/format.hpp"
@@ -258,13 +259,15 @@ TEST(FaultInjection, CorruptL1PointerDetectedByCheck) {
 // --------------------------------------------------------------------------
 
 /// Counts the pwrite and flush calls of one file and fails exactly one:
-/// call number `at` (0-based) of kind `kind`; at < 0 fails none.
+/// call number `at` (0-based) of kind `kind`; at < 0 fails none. With
+/// `log` set, every call of the file is also recorded there.
 struct OneFault {
   enum class Kind { pwrite, flush };
   Kind kind = Kind::pwrite;
   std::int64_t at = -1;
   std::int64_t pwrites = 0;
   std::int64_t flushes = 0;
+  testutil::IoLog* log = nullptr;
 };
 
 class OneFaultBackend final : public io::BlockBackend {
@@ -314,8 +317,11 @@ class OneFaultStore final : public io::ImageDirectory {
                                    bool writable) override {
     VMIC_TRY(be, inner_.open_file(name, writable));
     if (name != file_) return io::BackendPtr{std::move(be)};
-    return io::BackendPtr{std::make_unique<OneFaultBackend>(std::move(be),
-                                                            fault_)};
+    io::BackendPtr faulty =
+        std::make_unique<OneFaultBackend>(std::move(be), fault_);
+    if (fault_->log == nullptr) return faulty;
+    return io::BackendPtr{std::make_unique<testutil::RecordingBackend>(
+        std::move(faulty), *fault_->log)};
   }
   Result<io::BackendPtr> create_file(const std::string& name) override {
     return inner_.create_file(name);
@@ -660,6 +666,172 @@ TEST(FaultInjection, JournaledRefcountTableGrowthFreesWhatItTookOnAnyFailure) {
 
 TEST(FaultInjection, L1RelocationFreesWhatItTookOnAnyFailure) {
   sweep_single_faults(run_l1_relocation);
+}
+
+// --------------------------------------------------------------------------
+// Pinned refcount-path calls. The fault-free runs of the refcount sweeps
+// above, an L1 relocation, lazy refcounts and packed compressed payloads
+// must make the same pwrite, flush and truncate calls (kind, offset,
+// length and bytes, in order): every path that changes a cluster count
+// is fixed by one of them. Each case records one file from open to close.
+// --------------------------------------------------------------------------
+
+struct CallPin {
+  std::uint64_t pwrites;
+  std::uint64_t flushes;
+  std::uint64_t truncates;
+  std::uint64_t writes;  ///< IoLog::writes
+};
+
+void expect_calls(const testutil::IoLog& log, const CallPin& pin) {
+  EXPECT_EQ(log.pwrites, pin.pwrites);
+  EXPECT_EQ(log.flushes, pin.flushes);
+  EXPECT_EQ(log.truncates, pin.truncates);
+  EXPECT_EQ(log.writes, pin.writes) << std::hex << "0x" << log.writes;
+}
+
+/// The calls of run_store_ops' fault-free run of `op`.
+void expect_store_op_calls(StoreOp op, const CallPin& pin) {
+  testutil::IoLog log;
+  OneFault none{.log = &log};
+  OneFault counted;
+  ASSERT_NO_FATAL_FAILURE(run_store_ops(op, &none, &counted));
+  expect_calls(log, pin);
+}
+
+TEST(Qcow2RefcountCalls, NewRefcountBlock) {
+  // The 8 KiB write at 512 KiB creates refcount block 1.
+  expect_store_op_calls(StoreOp::refcount_block_write,
+                        {23, 11, 0, 0xfb5a8d3f37684455ull});
+}
+
+TEST(Qcow2RefcountCalls, RefcountTableGrowth) {
+  // The 8 KiB write at 12 MiB grows the refcount table and releases the
+  // old one.
+  expect_store_op_calls(StoreOp::refcount_table_write,
+                        {27, 13, 0, 0xf09906ba311cf829ull});
+}
+
+TEST(Qcow2RefcountCalls, JournaledRefcountTableGrowth) {
+  expect_store_op_calls(StoreOp::journaled_table_write,
+                        {47, 22, 0, 0xeb8893474864a51cull});
+}
+
+TEST(Qcow2RefcountCalls, L1Relocation) {
+  testutil::IoLog log;
+  OneFault none{.log = &log};
+  OneFault counted;
+  ASSERT_NO_FATAL_FAILURE(run_l1_relocation(&none, &counted));
+  expect_calls(log, {13, 8, 0, 0x837355cfb1da18edull});
+}
+
+TEST(Qcow2RefcountCalls, LazyDecrementsPersistAtClose) {
+  // The refcount-block image opened with lazy refcounts: the 8 KiB write
+  // at 512 KiB creates refcount block 1, a discard and a write_zeroes
+  // free clusters counted in both blocks (the decrements stay in memory),
+  // and the clean close writes both blocks back.
+  io::MemImageStore mem;
+  {
+    const auto& image = filled_plain_image(kSweepImage, 0, 250 * 512);
+    auto be = mem.create_file("img.qcow2");
+    ASSERT_TRUE(be.ok());
+    ASSERT_TRUE(sync_wait((*be)->pwrite(0, image)).ok());
+  }
+  testutil::IoLog log;
+  {
+    auto file = mem.open_file("img.qcow2", /*writable=*/true);
+    ASSERT_TRUE(file.ok());
+    block::OpenOptions oo;
+    oo.lazy_refcounts = true;
+    auto dev = sync_wait(qcow2::Qcow2Device::open(
+        std::make_unique<testutil::RecordingBackend>(std::move(*file), log),
+        oo));
+    ASSERT_TRUE(dev.ok());
+    auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+    ASSERT_NE(q, nullptr);
+    const std::vector<std::uint8_t> data(8_KiB, 0xA1);
+    ASSERT_TRUE(sync_wait(q->write(512_KiB, data)).ok());
+    ASSERT_TRUE(sync_wait(q->discard(512_KiB + 2_KiB, 4_KiB)).ok());
+    ASSERT_TRUE(sync_wait(q->write_zeroes(16_KiB, 8_KiB)).ok());
+    auto chk = sync_wait(q->check());
+    ASSERT_TRUE(chk.ok());
+    EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                              << " corrupt=" << chk->corruptions;
+    ASSERT_TRUE(sync_wait(q->close()).ok());
+  }
+  expect_calls(log, {15, 9, 0, 0xd3daf5dc0260fd21ull});
+  auto again = sync_wait(qcow2::open_image(mem, "img.qcow2", /*writable=*/false));
+  ASSERT_TRUE(again.ok());
+  auto* r = dynamic_cast<qcow2::Qcow2Device*>(again->get());
+  ASSERT_NE(r, nullptr);
+  EXPECT_FALSE(r->dirty());
+  auto chk = sync_wait(r->check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean()) << "reopened: leaked=" << chk->leaked_clusters
+                            << " corrupt=" << chk->corruptions;
+}
+
+TEST(Qcow2RefcountCalls, PackedCompressedPayloads) {
+  // A compressed CoR fill of the sweep cache packs several payloads into
+  // each host cluster, and every payload after a cluster's first raises
+  // its count in place. Made standalone (no cache extension, no backing
+  // file), the image then takes a write over one packed cluster, which
+  // drops that payload's count.
+  const auto base = sweep_base();
+  io::MemImageStore mem;
+  const std::string file =
+      make_sweep_images(StoreOp::compressed_fill, mem, base);
+  testutil::IoLog fill_log;
+  {
+    OneFault none{.log = &fill_log};
+    OneFaultStore store{mem, file, &none};
+    auto dev = sync_wait(qcow2::open_image(store, file));
+    ASSERT_TRUE(dev.ok());
+    auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+    ASSERT_NE(q, nullptr);
+    ASSERT_TRUE(q->set_cor_compress(true).ok());
+    std::vector<std::uint8_t> buf(64_KiB);
+    ASSERT_TRUE(sync_wait(q->read(0, buf)).ok());
+    ASSERT_EQ(0, std::memcmp(buf.data(), base.data(), buf.size()));
+    auto chk = sync_wait(q->check());
+    ASSERT_TRUE(chk.ok());
+    EXPECT_TRUE(chk->clean());
+    // Fewer host clusters than guest clusters: payloads share.
+    ASSERT_LT(chk->data_clusters, buf.size() / 4_KiB);
+    ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+  }
+  expect_calls(fill_log, {33, 6, 0, 0x26b9c7f03a3e4f69ull});
+
+  SparseBuffer& bytes = **mem.buffer(file);
+  std::vector<std::uint8_t> area(4_KiB);
+  bytes.read(0, area);
+  auto parsed = qcow2::parse_header_area(area);
+  ASSERT_TRUE(parsed.ok());
+  qcow2::Header h = parsed->h;
+  h.backing_file_offset = 0;
+  h.backing_file_size = 0;
+  std::fill(area.begin(), area.end(), std::uint8_t{0});
+  qcow2::write_header_area(h, std::nullopt, std::nullopt, "", area);
+  bytes.write(0, area);
+
+  testutil::IoLog write_log;
+  {
+    OneFault none{.log = &write_log};
+    OneFaultStore store{mem, file, &none};
+    auto dev = sync_wait(qcow2::open_image(store, file));
+    ASSERT_TRUE(dev.ok());
+    auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+    ASSERT_NE(q, nullptr);
+    ASSERT_FALSE(q->is_cache_image());
+    const std::vector<std::uint8_t> data(1_KiB, 0xE5);
+    ASSERT_TRUE(sync_wait(q->write(4_KiB + 512, data)).ok());
+    auto chk = sync_wait(q->check());
+    ASSERT_TRUE(chk.ok());
+    EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                              << " corrupt=" << chk->corruptions;
+    ASSERT_TRUE(sync_wait((*dev)->close()).ok());
+  }
+  expect_calls(write_log, {6, 6, 0, 0xb35774a2b5b4c14eull});
 }
 
 TEST(FaultInjection, FailedL2ZeroFillKeepsCacheSizeWithinTheFile) {

@@ -471,6 +471,65 @@ TEST(GoldenMetrics, CompressedCorChainExplorePinnedValues) {
                         {117u, 18u, 8791998288500834709ull, 4638u, 1546u});
 }
 
+// 512 B-cluster sweeps. A refcount block covers 256 clusters there, and
+// 200 guest operations grow the 1 MiB image past them (to 294 clusters,
+// 310 with the journal), so cuts land inside refcount-block creation;
+// lazy refcounts defer the decrements eager mode writes at once, and a
+// 2-sector journal checkpoints on nearly every allocation.
+
+struct SmallClusterPins {
+  std::uint64_t total_events, dirty_images, pre_repair_leaks, leaks_dropped;
+  std::uint64_t post_repair_leaks, digest;
+  std::uint64_t journal_replays, journal_appends, journal_checkpoints;
+};
+
+void expect_small_cluster_pins(bool lazy, std::uint32_t journal_sectors,
+                               const SmallClusterPins& p) {
+  obs::Hub hub;
+  crash::ExploreConfig cfg;
+  cfg.seed = 1;
+  cfg.cluster_bits = 9;
+  cfg.guest_ops = 200;
+  cfg.max_crash_points = 48;
+  cfg.lazy_refcounts = lazy;
+  cfg.journal_sectors = journal_sectors;
+  cfg.hub = &hub;
+  const crash::ExploreReport r = crash::explore(cfg);
+  ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
+
+  EXPECT_EQ(r.total_events, p.total_events);
+  EXPECT_EQ(r.crash_points, 48u);
+  EXPECT_EQ(r.dirty_images, p.dirty_images);
+  EXPECT_EQ(r.pre_repair_leaks, p.pre_repair_leaks);
+  EXPECT_EQ(r.leaks_dropped, p.leaks_dropped);
+  EXPECT_EQ(r.corruptions_fixed, 0u);
+  // Journal images may keep a leak whose free record never became durable.
+  EXPECT_EQ(r.post_repair_leaks, p.post_repair_leaks);
+  EXPECT_EQ(r.digest, p.digest);
+  EXPECT_EQ(r.journal_replays, p.journal_replays);
+  EXPECT_EQ(r.journal_fallbacks, 0u);
+  const auto m = hub.registry.snapshot();
+  EXPECT_EQ(m.counter_total("qcow2.journal.appends"), p.journal_appends);
+  EXPECT_EQ(m.counter_total("qcow2.journal.checkpoints"),
+            p.journal_checkpoints);
+}
+
+TEST(GoldenMetrics, SmallClusterEagerExplorePinnedValues) {
+  expect_small_cluster_pins(
+      false, 0, {730u, 47u, 35u, 35u, 0u, 2422271595118672262ull, 0u, 0u, 0u});
+}
+
+TEST(GoldenMetrics, SmallClusterLazyExplorePinnedValues) {
+  expect_small_cluster_pins(
+      true, 0, {729u, 47u, 52u, 52u, 0u, 10015459685412799565ull, 0u, 0u, 0u});
+}
+
+TEST(GoldenMetrics, SmallClusterJournalExplorePinnedValues) {
+  expect_small_cluster_pins(false, 2,
+                            {1224u, 47u, 2u, 38u, 2u, 5783449671698610150ull,
+                             47u, 4108u, 4067u});
+}
+
 // Quota-edge pins: a cache filled past its quota by a fixed script of
 // unaligned multi-cluster reads. Near the edge a plain fill drops to one
 // cluster per store (its own write, flush and publish) until a cluster no
