@@ -470,12 +470,20 @@ std::vector<bool> allocation_map(qcow2::Qcow2Device& q) {
   return out;
 }
 
+/// How run_store_ops drives a write sweep. `retry`: both writes of the
+/// plan, a failed one retried once, then the follow-up. `once`: the first
+/// write only, with no retry and no follow-up, so the reopened image shows
+/// exactly what a failed write left behind (a retry takes the same
+/// clusters again and rewrites their counts).
+enum class Drive { retry, once };
+
 /// Two operations (either may fail; a failed guest write is retried
 /// once), then a follow-up that must succeed, then check(), then a close
 /// and a fault-free reopen that must agree with what the device
 /// acknowledged. `counted` receives the pwrite/flush counts after the two
-/// operations.
-void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
+/// operations. Drive::once makes one guest write instead (see Drive).
+void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted,
+                   Drive drive = Drive::retry) {
   const auto base = sweep_base();
   io::MemImageStore mem;
   const std::string file = make_sweep_images(op, mem, base);
@@ -491,9 +499,11 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   if (!fill) {
     const WritePlan plan = write_plan(op);
     const std::vector<std::uint8_t> data(plan.len, 0xA1);
-    for (const std::uint64_t off : plan.off) {
+    const std::size_t writes = drive == Drive::once ? 1 : 2;
+    for (std::size_t k = 0; k < writes; ++k) {
+      const std::uint64_t off = plan.off[k];
       if (sync_wait(q->write(off, data)).ok() ||
-          sync_wait(q->write(off, data)).ok()) {
+          (drive == Drive::retry && sync_wait(q->write(off, data)).ok())) {
         acked.emplace_back(off, data);
       }
     }
@@ -516,7 +526,7 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   // may end the file inside its last cluster.
   EXPECT_LE(q->file_bytes(),
             align_up((**mem.buffer(file)).size(), q->cluster_size()));
-  if (!fill) {
+  if (!fill && drive == Drive::retry) {
     const std::uint64_t at = write_plan(op).follow_up;
     const std::vector<std::uint8_t> more(4_KiB, 0xB2);
     ASSERT_TRUE(sync_wait(q->write(at, more)).ok());
@@ -524,7 +534,7 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
     buf.resize(more.size());
     ASSERT_TRUE(sync_wait(q->read(at, buf)).ok());
     EXPECT_EQ(buf, more);
-  } else {
+  } else if (fill) {
     buf.resize(12_KiB);
     ASSERT_TRUE(sync_wait(q->read(256_KiB + 100, buf)).ok());
     ASSERT_EQ(0, std::memcmp(buf.data(), base.data() + 256_KiB + 100,
@@ -532,8 +542,14 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   }
   auto chk = sync_wait(q->check());
   ASSERT_TRUE(chk.ok());
-  EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
-                            << " corrupt=" << chk->corruptions;
+  if (drive == Drive::retry) {
+    EXPECT_TRUE(chk->clean()) << "leaked=" << chk->leaked_clusters
+                              << " corrupt=" << chk->corruptions;
+  } else {
+    // A replaced refcount table whose release failed stays counted until
+    // close() retries the release, so only the reopen must be leak-free.
+    EXPECT_EQ(chk->corruptions, 0u);
+  }
   const std::vector<bool> mapped = allocation_map(*q);
   ASSERT_TRUE(sync_wait((*dev)->close()).ok());
   dev->reset();
@@ -552,6 +568,8 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted) {
   ASSERT_TRUE(chk.ok());
   EXPECT_TRUE(chk->clean()) << "reopened: leaked=" << chk->leaked_clusters
                             << " corrupt=" << chk->corruptions;
+  EXPECT_LE(r->file_bytes(),
+            align_up((**mem.buffer(file)).size(), r->cluster_size()));
 }
 
 /// A resize from 1 MiB to 2 GiB that moves the L1 table of a 4 KiB-cluster
@@ -634,9 +652,9 @@ void sweep_single_faults(Run run) {
   }
 }
 
-void sweep_single_faults(StoreOp op) {
-  sweep_single_faults([op](OneFault* fault, OneFault* counted) {
-    run_store_ops(op, fault, counted);
+void sweep_single_faults(StoreOp op, Drive drive = Drive::retry) {
+  sweep_single_faults([op, drive](OneFault* fault, OneFault* counted) {
+    run_store_ops(op, fault, counted, drive);
   });
 }
 
@@ -666,6 +684,23 @@ TEST(FaultInjection, JournaledRefcountTableGrowthFreesWhatItTookOnAnyFailure) {
 
 TEST(FaultInjection, L1RelocationFreesWhatItTookOnAnyFailure) {
   sweep_single_faults(run_l1_relocation);
+}
+
+// The same refcount sweeps without the retry: whatever counts a failed
+// allocation already wrote to the file (a new refcount block is written
+// whole from the in-memory counts, a journal checkpoint writes dirty
+// blocks back) must be taken back there too, or the reopened image leaks.
+
+TEST(FaultInjection, RefcountBlockWriteFreesWhatItTookWithoutRetry) {
+  sweep_single_faults(StoreOp::refcount_block_write, Drive::once);
+}
+
+TEST(FaultInjection, RefcountTableGrowthFreesWhatItTookWithoutRetry) {
+  sweep_single_faults(StoreOp::refcount_table_write, Drive::once);
+}
+
+TEST(FaultInjection, JournaledRefcountTableGrowthFreesWhatItTookWithoutRetry) {
+  sweep_single_faults(StoreOp::journaled_table_write, Drive::once);
 }
 
 // --------------------------------------------------------------------------
