@@ -345,6 +345,9 @@ enum class StoreOp {
   /// The same growth on an image with a 2-sector refcount journal, which
   /// checkpoints on nearly every allocation.
   journaled_table_write,
+  /// A CoR fill of a 512 B-cluster cache that needs a new refcount block
+  /// (a fill is never retried: a failed one stops population).
+  refcount_block_fill,
 };
 
 constexpr std::uint64_t kSweepImage = 1_MiB;
@@ -418,6 +421,35 @@ const std::vector<std::uint8_t>& filled_plain_image(
   return bytes;
 }
 
+/// The bytes of a 512 B-cluster cache over `base` whose copy-on-read fills,
+/// read from offset 0 fault-free, have grown the file to at least 250
+/// clusters (built once).
+const std::vector<std::uint8_t>& filled_cache_image(
+    const std::vector<std::uint8_t>& base) {
+  static std::vector<std::uint8_t> bytes;
+  if (!bytes.empty()) return bytes;
+  io::MemImageStore mem;
+  auto be = mem.create_file("base.img");
+  EXPECT_TRUE(be.ok());
+  EXPECT_TRUE(sync_wait((*be)->pwrite(0, base)).ok());
+  EXPECT_TRUE(sync_wait(qcow2::create_cache_image(
+                            mem, "vmi.cache", "base.img", 2_MiB,
+                            {.cluster_bits = 9, .virtual_size = 0}))
+                  .ok());
+  auto dev = sync_wait(qcow2::open_image(mem, "vmi.cache"));
+  EXPECT_TRUE(dev.ok());
+  auto* q = dynamic_cast<qcow2::Qcow2Device*>(dev->get());
+  std::vector<std::uint8_t> buf(512);
+  for (std::uint64_t off = 0; q->file_bytes() < 250 * 512; off += 512) {
+    EXPECT_TRUE(sync_wait(q->read(off, buf)).ok());
+  }
+  EXPECT_TRUE(sync_wait((*dev)->close()).ok());
+  const SparseBuffer& file = **mem.buffer("vmi.cache");
+  bytes.resize(file.size());
+  file.read(0, bytes);
+  return bytes;
+}
+
 /// Fresh images for `op` in `mem`; returns the file the fault targets.
 std::string make_sweep_images(StoreOp op, io::MemImageStore& mem,
                               const std::vector<std::uint8_t>& base) {
@@ -452,6 +484,14 @@ std::string make_sweep_images(StoreOp op, io::MemImageStore& mem,
   auto be = mem.create_file("base.img");
   EXPECT_TRUE(be.ok());
   EXPECT_TRUE(sync_wait((*be)->pwrite(0, base)).ok());
+  if (op == StoreOp::refcount_block_fill) {
+    // The second fill's 19 clusters at 512 KiB need a new L2 table and,
+    // past cluster 255, refcount block 1.
+    auto cache = mem.create_file("vmi.cache");
+    EXPECT_TRUE(cache.ok());
+    EXPECT_TRUE(sync_wait((*cache)->pwrite(0, filled_cache_image(base))).ok());
+    return "vmi.cache";
+  }
   EXPECT_TRUE(sync_wait(qcow2::create_cache_image(
                             mem, "vmi.cache", "base.img", 8_MiB,
                             {.cluster_bits = 12, .virtual_size = 0}))
@@ -495,7 +535,9 @@ void run_store_ops(StoreOp op, OneFault* fault, OneFault* counted,
   std::vector<std::uint8_t> buf;
   // Guest writes the device acknowledged: offset -> bytes.
   std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> acked;
-  const bool fill = op == StoreOp::cor_fill || op == StoreOp::compressed_fill;
+  const bool fill = op == StoreOp::cor_fill ||
+                    op == StoreOp::compressed_fill ||
+                    op == StoreOp::refcount_block_fill;
   if (!fill) {
     const WritePlan plan = write_plan(op);
     const std::vector<std::uint8_t> data(plan.len, 0xA1);
@@ -680,6 +722,10 @@ TEST(FaultInjection, RefcountTableGrowthFreesWhatItTookOnAnyFailure) {
 
 TEST(FaultInjection, JournaledRefcountTableGrowthFreesWhatItTookOnAnyFailure) {
   sweep_single_faults(StoreOp::journaled_table_write);
+}
+
+TEST(FaultInjection, RefcountBlockFillFreesWhatItTookOnAnyFailure) {
+  sweep_single_faults(StoreOp::refcount_block_fill);
 }
 
 TEST(FaultInjection, L1RelocationFreesWhatItTookOnAnyFailure) {
