@@ -66,6 +66,21 @@ void set_leading_refcounts(std::span<std::uint8_t> block, std::uint64_t n,
   if (set > n) std::memset(block.data() + n * 2, 0, (set - n) * 2);
 }
 
+/// A count change that needs no write now.
+sim::Task<Result<void>> no_write() { co_return ok_result(); }
+
+/// Copy the mirror entries that exist from `first` into refcount block
+/// `block`, which is zero (the inverse of unpack_refcounts).
+void pack_refcounts(const std::vector<std::uint16_t>& mirror,
+                    std::uint64_t first, std::span<std::uint8_t> block) {
+  if (first >= mirror.size()) return;
+  const std::uint64_t n =
+      std::min<std::uint64_t>(block.size() / 2, mirror.size() - first);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    store_be16(block.data() + k * 2, mirror[first + k]);
+  }
+}
+
 /// Copy refcount block `block`, which covers clusters from `first`, into
 /// the mirror entries that exist.
 void unpack_refcounts(std::span<const std::uint8_t> block, std::uint64_t first,
@@ -337,7 +352,7 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   // report the damage first pass auto_repair_dirty = false.
   if ((dev->h_.incompatible_features & kIncompatDirty) != 0) {
     dev->dirty_ = true;
-    dev->dirty_inherited_ = true;
+    dev->keep_dirty_ = true;
     bump(dev->agg_.repair_dirty_opens);
     if (opt.writable && !dev->file_->read_only() && opt.auto_repair_dirty) {
       VMIC_CO_TRY(rep, co_await dev->repair());
@@ -584,14 +599,6 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
 // allocation & refcounts
 // ===========================================================================
 
-Result<void> Qcow2Device::quota_check(std::uint64_t end_cluster) const {
-  if (!cache_) return ok_result();
-  if (end_cluster * ly_.cluster_size() > cache_->quota) {
-    return Errc::no_space;
-  }
-  return ok_result();
-}
-
 void Qcow2Device::index_free_runs() {
   free_runs_.clear();
   const std::uint64_t size = refcounts_.size();
@@ -658,7 +665,7 @@ void Qcow2Device::release_run(std::uint64_t first, std::uint64_t end) {
   free_runs_.emplace(first, end);
 }
 
-std::optional<std::uint64_t> Qcow2Device::find_free_run(std::uint64_t n) {
+std::uint64_t Qcow2Device::find_free_run(std::uint64_t n) {
   // First fit over the free-run index, reproducing the placement of the
   // legacy linear scan exactly: candidates are considered from
   // max(run start, free_guess_) upwards, and the run touching the end of
@@ -678,6 +685,86 @@ std::optional<std::uint64_t> Qcow2Device::find_free_run(std::uint64_t n) {
   return size;  // append at the end of the file
 }
 
+Result<std::uint64_t> Qcow2Device::take_clusters(std::uint64_t n) {
+  const std::uint64_t idx = find_free_run(n);
+  const std::uint64_t end = idx + n;
+  // A cache's file may not outgrow its quota.
+  if (cache_ && std::max<std::uint64_t>(end, refcounts_.size()) *
+                        ly_.cluster_size() >
+                    cache_->quota) {
+    return Errc::no_space;
+  }
+  if (end > refcounts_.size()) refcounts_.resize(end, 0);
+  for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 1;
+  claim_run(idx, end);
+  return idx;
+}
+
+sim::Task<Result<void>> Qcow2Device::record_counts(CountChange op,
+                                                   std::uint64_t first,
+                                                   std::uint64_t n,
+                                                   RefHint hint) {
+  // Not a coroutine: it picks the write and hands it to the caller to
+  // await, so the store path pays no extra frame per allocation.
+  // Lazy refcounts: lowered counts stay in the mirror while the dirty bit
+  // is set — a crash leaves the on-disk count stale-high (a leak repair()
+  // drops), never stale-low. Clean close writes the mirror back.
+  if (lazy_ && op != CountChange::up) return no_write();
+  if (!journal_) return write_refcount_entries(first, n);
+  // Journal mode: the record IS the persistence — the blocks are only
+  // written back at checkpoints, and the record rides the caller's
+  // barriers. A free record that never becomes durable leaves a
+  // replay-surviving leak, never a corruption (the dereference was flushed
+  // before the record was appended). An undo needs no record: a raise's
+  // record names a slot that never came to reference the run, so replay
+  // recomputes the old count; but a checkpoint may have written the raise
+  // back already, so its blocks go stale like any other.
+  if (op == CountChange::undo) {
+    mark_stale(first, n);
+    return no_write();
+  }
+  const std::uint32_t kind =
+      op == CountChange::up ? kJournalOpAlloc : kJournalOpFree;
+  return journal_append(kind | (hint.run ? kJournalRefRun : 0), first, n,
+                        hint);
+}
+
+sim::Task<Result<void>> Qcow2Device::record_taken(std::uint64_t first,
+                                                  std::uint64_t n,
+                                                  RefHint hint) {
+  const std::uint64_t rpb = ly_.refcounts_per_block();
+  for (std::uint64_t bi = first / rpb; bi <= (first + n - 1) / rpb; ++bi) {
+    if (!holds_block(bi)) {
+      VMIC_CO_TRY_VOID(co_await ensure_refcount_block(bi * rpb));
+    }
+  }
+  co_return co_await record_counts(CountChange::up, first, n, hint);
+}
+
+sim::Task<void> Qcow2Device::undo_counts(std::uint64_t first,
+                                         std::uint64_t n) {
+  const std::uint64_t end = first + n;
+  for (std::uint64_t i = first; i < end; ++i) {
+    if (--refcounts_[i] == 0) release_run(i, i + 1);
+  }
+  // The raise may have reached the file through any block that covers the
+  // run: a new block is written whole from the mirror, and a journal
+  // checkpoint writes dirty blocks back from it.
+  const std::uint64_t rpb = ly_.refcounts_per_block();
+  for (std::uint64_t bi = first / rpb; bi <= (end - 1) / rpb; ++bi) {
+    if (!holds_block(bi)) continue;
+    const std::uint64_t lo = std::max(first, bi * rpb);
+    const std::uint64_t hi = std::min(end, (bi + 1) * rpb);
+    auto r = co_await record_counts(CountChange::undo, lo, hi - lo, {});
+    // The file may still count what the mirror gave back: the dirty bit
+    // stays, so the next writable open repairs the image.
+    if (!r.ok()) keep_dirty_ = true;
+  }
+  // Clusters past the end of the file that the failed operation never
+  // wrote are not part of the image's size.
+  trim_refcounts();
+}
+
 sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
     std::uint64_t n, RefHint hint) {
   assert(n > 0);
@@ -689,45 +776,15 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
   if (old_table_.count != 0) {
     VMIC_CO_TRY_VOID(co_await release_old_table());
   }
-  const auto found = find_free_run(n);
-  assert(found.has_value());
-  const std::uint64_t idx = *found;
-  const std::uint64_t end = idx + n;
-  VMIC_CO_TRY_VOID(quota_check(std::max<std::uint64_t>(end, refcounts_.size())));
-
-  const std::uint64_t old_size = refcounts_.size();
-  if (end > refcounts_.size()) refcounts_.resize(end, 0);
-  for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 1;
-  claim_run(idx, end);
-
-  // Make sure every touched refcount block exists, then persist entries.
-  Result<void> r = ok_result();
-  const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::uint64_t bi = idx / rpb; r.ok() && bi <= (end - 1) / rpb; ++bi) {
-    r = co_await ensure_refcount_block(bi * rpb);
-  }
-  if (r.ok() && journal_) {
-    // Journal mode: the record IS the persistence — the blocks are only
-    // written back at checkpoints. Rides the caller's publish barrier.
-    r = co_await journal_append(
-        kJournalOpAlloc | (hint.run ? kJournalRefRun : 0), idx, n, hint);
-  } else if (r.ok()) {
-    r = co_await write_refcount_entries(idx, n);
-  }
+  VMIC_CO_TRY(idx, take_clusters(n));
+  auto r = co_await record_taken(idx, n, hint);
   if (!r.ok()) {
-    // Take the marks back, so the mirror never counts a cluster nothing
-    // references. Refcount blocks created on the way stay (the refcount
-    // table references them; a block whose creation failed freed its own
-    // cluster). The rare failure path just rebuilds the free-run index
-    // from scratch.
-    for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 0;
-    while (refcounts_.size() > old_size && refcounts_.back() == 0) {
-      refcounts_.pop_back();
-    }
-    index_free_runs();
+    // Refcount blocks created on the way stay: the refcount table
+    // references them.
+    co_await undo_counts(idx, n);
     co_return r.error();
   }
-  free_guess_ = end;
+  free_guess_ = idx + n;
   co_return idx * ly_.cluster_size();
 }
 
@@ -738,59 +795,36 @@ sim::Task<Result<void>> Qcow2Device::ensure_refcount_block(
   if (bi >= rt_.size()) {
     VMIC_CO_TRY_VOID(co_await grow_refcount_table(bi));
   }
-  if ((rt_[bi] & kOffsetMask) != 0) co_return ok_result();
+  if (holds_block(bi)) co_return ok_result();
 
-  // Allocate a cluster for the new block by hand (cannot recurse through
+  // Take a cluster for the new block by hand (cannot recurse through
   // alloc_clusters: that is what calls us). The in-memory refcount table
   // takes the block only once its table entry is written: until then the
   // file does not reference it, so neither may rt_.
-  const auto found = find_free_run(1);
-  assert(found.has_value());
-  const std::uint64_t b = *found;
-  VMIC_CO_TRY_VOID(
-      quota_check(std::max<std::uint64_t>(b + 1, refcounts_.size())));
-  if (b + 1 > refcounts_.size()) refcounts_.resize(b + 1, 0);
-  refcounts_[b] = 1;
-  claim_run(b, b + 1);
+  VMIC_CO_TRY(b, take_clusters(1));
   const std::uint64_t cs = ly_.cluster_size();
   const std::uint64_t block_off = b * cs;
 
-  // If the new block's own cluster is covered by a different (absent)
-  // block, create that one too; recursion terminates because each level
-  // covers rpb clusters.
+  // b's own count: when another block covers b, record it there (creating
+  // that block first if absent; recursion terminates because each level
+  // covers rpb clusters). When this block covers b, the full-block write
+  // below stores it, and only a journal records it as well: the record
+  // retires at the next checkpoint and lets replay verify the allocation.
+  const auto slot = [&] {
+    return RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true};
+  };
   Result<void> r = ok_result();
   if (b / rpb != bi) {
     r = co_await ensure_refcount_block(b);
-    // b's own refcount lives in the covering block. When the recursion
-    // created that block just now it snapshotted the mirror (including
-    // b); but when the block already existed nothing persisted b's
-    // count — write it explicitly (idempotent in the first case).
-    if (r.ok() && journal_) {
-      r = co_await journal_append(
-          kJournalOpAlloc | kJournalRefRun, b, 1,
-          RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true});
-    } else if (r.ok()) {
-      r = co_await write_refcount_entries(b, 1);
-    }
+    if (r.ok()) r = co_await record_counts(CountChange::up, b, 1, slot());
   } else if (journal_) {
-    // b is covered by the very block being created: the full-block write
-    // below persists it, but the record still retires correctly at the
-    // next checkpoint and lets replay verify the allocation.
-    r = co_await journal_append(
-        kJournalOpAlloc | kJournalRefRun, b, 1,
-        RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true});
+    r = co_await record_counts(CountChange::up, b, 1, slot());
   }
 
   // Persist the whole new block from the mirror, then its table entry.
   if (r.ok()) {
     std::vector<std::uint8_t> buf(cs, 0);
-    const std::uint64_t first = bi * rpb;
-    for (std::uint64_t k = 0; k < rpb; ++k) {
-      const std::uint64_t i = first + k;
-      if (i < refcounts_.size() && refcounts_[i] != 0) {
-        store_be16(buf.data() + k * 2, refcounts_[i]);
-      }
-    }
+    pack_refcounts(refcounts_, bi * rpb, buf);
     r = co_await file_->pwrite(block_off, buf);
   }
   // Barrier: the block's contents must be durable before the table entry
@@ -799,21 +833,11 @@ sim::Task<Result<void>> Qcow2Device::ensure_refcount_block(
   if (r.ok()) {
     std::uint8_t be[8];
     store_be64(be, block_off);
-    r = co_await file_->pwrite(h_.refcount_table_offset + bi * 8, be);
+    r = co_await file_->pwrite(slot().ref_off, be);
   }
   if (!r.ok()) {
-    // Nothing references the block: free its cluster, and take its count
-    // back from a covering block that already persisted it (a journal
-    // checkpoint writes a dirty block back from the mirror).
-    refcounts_[b] = 0;
-    release_run(b, b + 1);
-    const std::uint64_t cb = b / rpb;
-    if (journal_) {
-      journal_dirty_blocks_.erase(bi);
-    } else if (cb != bi && cb < rt_.size() &&
-               (rt_[cb] & kOffsetMask) != 0) {
-      (void)co_await write_refcount_entries(b, 1);
-    }
+    // Nothing references the block.
+    co_await undo_counts(b, 1);
     co_return r.error();
   }
   rt_[bi] = block_off;
@@ -841,6 +865,14 @@ sim::Task<Result<void>> Qcow2Device::write_refcount_entries(
   co_return ok_result();
 }
 
+sim::Task<Result<void>> Qcow2Device::write_back_block(std::uint64_t bi) {
+  const std::uint64_t rpb = ly_.refcounts_per_block();
+  const std::uint64_t first = bi * rpb;
+  if (!holds_block(bi) || first >= refcounts_.size()) co_return ok_result();
+  co_return co_await write_refcount_entries(
+      first, std::min<std::uint64_t>(rpb, refcounts_.size() - first));
+}
+
 sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
     std::uint64_t min_block_index) {
   const std::uint64_t cs = ly_.cluster_size();
@@ -851,16 +883,7 @@ sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
       max_entries,
       std::max<std::uint64_t>(min_block_index + 1, rt_.size() * 2));
   const std::uint64_t new_clusters = div_ceil(needed_entries * 8, cs);
-
-  const auto found = find_free_run(new_clusters);
-  assert(found.has_value());
-  const std::uint64_t idx = *found;
-  const std::uint64_t end = idx + new_clusters;
-  VMIC_CO_TRY_VOID(
-      quota_check(std::max<std::uint64_t>(end, refcounts_.size())));
-  if (end > refcounts_.size()) refcounts_.resize(end, 0);
-  for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 1;
-  claim_run(idx, end);
+  VMIC_CO_TRY(idx, take_clusters(new_clusters));
 
   // The new table's own refcount blocks and refcounts, and any journal
   // checkpoint on the way, already address the new table, so the device
@@ -873,21 +896,10 @@ sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
   h_.refcount_table_offset = idx * cs;
   h_.refcount_table_clusters = static_cast<std::uint32_t>(new_clusters);
 
-  // The new table's own clusters (and possibly blocks for them) must be
-  // refcounted; rt_ now has capacity for any block index.
-  Result<void> r = ok_result();
-  const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::uint64_t bi = idx / rpb; r.ok() && bi <= (end - 1) / rpb; ++bi) {
-    r = co_await ensure_refcount_block(bi * rpb);
-  }
-  if (r.ok() && journal_) {
-    // The new table's clusters are referenced by the header's own
-    // refcount-table pointer (offset 48) once the switch-over publishes.
-    r = co_await journal_append(kJournalOpAlloc | kJournalRefRun, idx,
-                                new_clusters, RefHint{48, /*run=*/true});
-  } else if (r.ok()) {
-    r = co_await write_refcount_entries(idx, new_clusters);
-  }
+  // The new table's clusters are referenced by the header's own
+  // refcount-table pointer (offset 48) once the switch-over publishes.
+  Result<void> r = co_await record_taken(idx, new_clusters,
+                                        RefHint{48, /*run=*/true});
   // Persist the full new table.
   if (r.ok()) {
     std::vector<std::uint8_t> buf(new_clusters * cs, 0);
@@ -904,35 +916,20 @@ sim::Task<Result<void>> Qcow2Device::grow_refcount_table(
     r = co_await file_->pwrite(48, be);
   }
   if (!r.ok()) {
-    // The file still references the old table only: switch back, free
-    // the new table's clusters and every block created for it, and take
-    // back the counts that blocks of the old table already persisted.
-    std::vector<std::uint64_t> taken;
-    for (std::uint64_t i = idx; i < end; ++i) taken.push_back(i);
+    // The file still references the old table only: switch back, then
+    // give back the new table's clusters and every block created for it.
+    std::vector<std::uint64_t> blocks;
     for (std::uint64_t bi = 0; bi < rt_.size(); ++bi) {
-      const std::uint64_t off = rt_[bi] & kOffsetMask;
-      if (off != 0 &&
+      if (holds_block(bi) &&
           (bi >= old_rt.size() || (old_rt[bi] & kOffsetMask) == 0)) {
-        taken.push_back(off / cs);
+        blocks.push_back((rt_[bi] & kOffsetMask) / cs);
       }
     }
     rt_ = std::move(old_rt);
     h_.refcount_table_offset = old_off;
     h_.refcount_table_clusters = static_cast<std::uint32_t>(old_clusters);
-    for (const std::uint64_t c : taken) refcounts_[c] = 0;
-    index_free_runs();
-    for (const std::uint64_t c : taken) {
-      const std::uint64_t cb = c / rpb;
-      if (cb >= rt_.size() || (rt_[cb] & kOffsetMask) == 0) continue;
-      if (journal_) {
-        journal_dirty_blocks_.insert(cb);
-      } else {
-        (void)co_await write_refcount_entries(c, 1);
-      }
-    }
-    std::erase_if(journal_dirty_blocks_, [&](std::uint64_t bi) {
-      return bi >= rt_.size() || (rt_[bi] & kOffsetMask) == 0;
-    });
+    co_await undo_counts(idx, new_clusters);
+    for (const std::uint64_t b : blocks) co_await undo_counts(b, 1);
     co_return r.error();
   }
   assert(old_table_.count == 0);
@@ -946,22 +943,15 @@ sim::Task<Result<void>> Qcow2Device::release_old_table() {
   // clusters are released for reuse — a crash in between may leak the
   // old table, never point at a reclaimed one.
   VMIC_CO_TRY_VOID(co_await file_->flush());
-  for (std::uint64_t i = first; i < first + count; ++i) refcounts_[i] = 0;
-  release_run(first, first + count);
-  Result<void> r = ok_result();
-  if (journal_) {
-    if (!lazy_) {
-      r = co_await journal_append(kJournalOpFree | kJournalRefRun, first,
-                                  count, RefHint{ref_off, /*run=*/true});
-    }
+  auto r = co_await free_clusters(first * ly_.cluster_size(), count,
+                                  RefHint{ref_off, /*run=*/true});
+  if (r.ok() && journal_) {
     // Earlier records may reference slots inside the *old* table (a
     // refcount block's record names its table entry, an L2 table's its L1
     // slot, by file offset). Those clusters are free for reuse now, and
     // reused bytes would break the records' reference checks — checkpoint
     // to retire every record before any reuse can happen.
-    if (r.ok()) r = co_await journal_checkpoint();
-  } else if (!lazy_) {
-    r = co_await write_refcount_entries(first, count);
+    r = co_await journal_checkpoint();
   }
   if (!r.ok()) {
     // Still counted on disk: keep counting it here too, and try again at
@@ -972,7 +962,6 @@ sim::Task<Result<void>> Qcow2Device::release_old_table() {
     co_return r.error();
   }
   old_table_ = {};
-  free_guess_ = std::min(free_guess_, first);
   co_return ok_result();
 }
 
@@ -1512,9 +1501,9 @@ sim::Task<Result<void>> Qcow2Device::incref_cluster(std::uint64_t cluster_idx) {
     co_return Errc::corrupt;
   }
   ++refcounts_[cluster_idx];
-  auto r = co_await write_refcount_entries(cluster_idx, 1);
+  auto r = co_await record_counts(CountChange::up, cluster_idx, 1, {});
   // Not persisted: take the count back, nothing references it yet.
-  if (!r.ok()) --refcounts_[cluster_idx];
+  if (!r.ok()) co_await undo_counts(cluster_idx, 1);
   co_return r;
 }
 
@@ -1616,21 +1605,8 @@ sim::Task<Result<void>> Qcow2Device::free_clusters(std::uint64_t host_off,
     --refcounts_[i];
     if (refcounts_[i] == 0) release_run(i, i + 1);
   }
-  // Lazy refcounts: decrements stay in the mirror while the dirty bit is
-  // set — a crash leaves the on-disk count stale-high (a leak repair()
-  // drops), never stale-low. Clean close persists the mirror. The same
-  // holds in journal mode: a free record that never becomes durable
-  // leaves a replay-surviving leak, never a corruption (the dereference
-  // was flushed before the record was appended).
-  if (!lazy_) {
-    if (journal_) {
-      VMIC_CO_TRY_VOID(co_await journal_append(
-          kJournalOpFree | (hint.run ? kJournalRefRun : 0), first, count,
-          hint));
-    } else {
-      VMIC_CO_TRY_VOID(co_await write_refcount_entries(first, count));
-    }
-  }
+  VMIC_CO_TRY_VOID(
+      co_await record_counts(CountChange::down, first, count, hint));
   free_guess_ = std::min(free_guess_, first);
   co_return ok_result();
 }
@@ -1809,13 +1785,13 @@ sim::Task<Result<void>> Qcow2Device::close() {
     auto guard = co_await lock_alloc();
     VMIC_CO_TRY_VOID(co_await release_old_table());
   }
-  if (dirty_ && !dirty_inherited_ && !file_->read_only()) {
+  if (dirty_ && !keep_dirty_ && !file_->read_only()) {
     // Clean shutdown: settle deferred refcounts, then drop the dirty
     // mark behind a barrier. In journal mode the on-disk blocks are
     // stale for every journaled mutation — a checkpoint writes them back
     // and retires the records; in lazy mode the mirror holds deferred
-    // decrements. Inherited dirt (opened dirty with auto-repair off,
-    // never repaired) stays — only repair() earns it.
+    // decrements. Dirt this session cannot vouch for (keep_dirty_) stays
+    // — only repair() earns a clean mark for it.
     if (journal_) {
       VMIC_CO_TRY_VOID(co_await journal_checkpoint());
       if (lazy_) {
@@ -1869,13 +1845,9 @@ sim::Task<Result<void>> Qcow2Device::ensure_dirty() {
 sim::Task<Result<void>> Qcow2Device::persist_refcounts() {
   assert(refcounts_loaded_);
   const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::size_t bi = 0; bi < rt_.size(); ++bi) {
-    if ((rt_[bi] & kOffsetMask) == 0) continue;
-    const std::uint64_t first = bi * rpb;
-    if (first >= refcounts_.size()) break;
-    const std::uint64_t count =
-        std::min<std::uint64_t>(rpb, refcounts_.size() - first);
-    VMIC_CO_TRY_VOID(co_await write_refcount_entries(first, count));
+  for (std::size_t bi = 0; bi < rt_.size() && bi * rpb < refcounts_.size();
+       ++bi) {
+    VMIC_CO_TRY_VOID(co_await write_back_block(bi));
   }
   co_return ok_result();
 }
@@ -1928,15 +1900,16 @@ sim::Task<Result<void>> Qcow2Device::journal_append(std::uint32_t flags,
       journal_->offset + journal_head_ * std::uint64_t{kJournalSectorSize},
       sec));
   ++journal_head_;
-  // The on-disk refcount blocks covering this run are stale until the
-  // next checkpoint writes them back.
-  const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::uint64_t bi = first_cluster / rpb;
-       bi <= (first_cluster + count - 1) / rpb; ++bi) {
-    journal_dirty_blocks_.insert(bi);
-  }
+  mark_stale(first_cluster, count);
   bump(agg_.journal_appends);
   co_return ok_result();
+}
+
+void Qcow2Device::mark_stale(std::uint64_t first, std::uint64_t n) {
+  const std::uint64_t rpb = ly_.refcounts_per_block();
+  for (std::uint64_t bi = first / rpb; bi <= (first + n - 1) / rpb; ++bi) {
+    journal_dirty_blocks_.insert(bi);
+  }
 }
 
 sim::Task<Result<void>> Qcow2Device::journal_checkpoint() {
@@ -1948,13 +1921,8 @@ sim::Task<Result<void>> Qcow2Device::journal_checkpoint() {
   // flush below makes the blocks durable before the header write is even
   // issued; a cut the other way round simply replays the (idempotent)
   // records again.
-  const std::uint64_t rpb = ly_.refcounts_per_block();
   for (const std::uint64_t bi : journal_dirty_blocks_) {
-    const std::uint64_t first = bi * rpb;
-    if (first >= refcounts_.size()) continue;
-    const std::uint64_t count =
-        std::min<std::uint64_t>(rpb, refcounts_.size() - first);
-    VMIC_CO_TRY_VOID(co_await write_refcount_entries(first, count));
+    VMIC_CO_TRY_VOID(co_await write_back_block(bi));
   }
   VMIC_CO_TRY_VOID(co_await file_->flush());
   ++journal_gen_;
@@ -2100,7 +2068,7 @@ sim::Task<Result<bool>> Qcow2Device::journal_repair_fast(RepairReport& rep) {
   journal_dirty_blocks_.clear();
   VMIC_CO_TRY_VOID(co_await journal_write_header());
   VMIC_CO_TRY_VOID(co_await write_clean_bit());
-  dirty_inherited_ = false;
+  keep_dirty_ = false;
 
   // Drop any stale in-memory mirror so the allocator reloads the repaired
   // truth (repair() at open runs before load_refcounts, but an explicit
@@ -2318,12 +2286,7 @@ sim::Task<Result<RepairReport>> Qcow2Device::repair() {
     const std::uint64_t off = rt_[bi] & kOffsetMask;
     if (off == 0) continue;
     std::memset(buf.data(), 0, buf.size());
-    const std::uint64_t first = bi * rpb;
-    for (std::uint64_t k = 0; k < rpb; ++k) {
-      if (first + k < refcounts_.size() && refcounts_[first + k] != 0) {
-        store_be16(buf.data() + k * 2, refcounts_[first + k]);
-      }
-    }
+    pack_refcounts(refcounts_, bi * rpb, buf);
     VMIC_CO_TRY_VOID(co_await file_->pwrite(off, buf));
   }
   // Barrier: block contents before the table that publishes them — the
@@ -2352,7 +2315,7 @@ sim::Task<Result<RepairReport>> Qcow2Device::repair() {
     VMIC_CO_TRY_VOID(co_await journal_write_header());
   }
   VMIC_CO_TRY_VOID(co_await write_clean_bit());
-  dirty_inherited_ = false;
+  keep_dirty_ = false;
 
   // Refresh the allocator's view of the world. The rebuild counted only
   // referenced clusters, so a replaced refcount table is released too.

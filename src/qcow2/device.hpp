@@ -380,10 +380,46 @@ class Qcow2Device final : public block::BlockDevice {
   /// Write every allocated refcount block back from the in-memory mirror
   /// (the lazy-refcounts clean-close path).
   sim::Task<Result<void>> persist_refcounts();
+  /// Write refcount block `bi` back from the mirror; a no-op unless the
+  /// refcount table holds it.
+  sim::Task<Result<void>> write_back_block(std::uint64_t bi);
   /// Clear the dirty bit after a flush barrier (clean close / repair).
   sim::Task<Result<void>> write_clean_bit();
 
-  // Allocation.
+  // Allocation and refcounts. Every count change takes one path (DESIGN.md
+  // "take, record, undo"): take_clusters marks a run in the mirror,
+  // record_counts makes a change the mirror holds reach the file, and a
+  // failed operation hands what it took to undo_counts.
+
+  /// How a count change the mirror already holds differs from the file.
+  enum class CountChange {
+    up,    ///< counts raised: an allocation or a shared payload
+    down,  ///< counts lowered: clusters freed
+    undo,  ///< a raise given back because its operation failed
+  };
+  /// Take `n` free clusters: the first fit, within a cache's quota,
+  /// counted 1 in the mirror and claimed in the free-run index. Nothing
+  /// reaches the file yet. Returns the first cluster index.
+  [[nodiscard]] Result<std::uint64_t> take_clusters(std::uint64_t n);
+  /// The one place that decides how a count change of [first, first+n)
+  /// reaches the file: a refcount-entry write (eager; every block that
+  /// covers the run must exist), a journal record plus stale blocks for
+  /// the next checkpoint (journal; an undo only marks the blocks), or
+  /// nothing until close (lazy, for anything but a raise).
+  sim::Task<Result<void>> record_counts(CountChange op, std::uint64_t first,
+                                        std::uint64_t n, RefHint hint);
+  /// Record a run take_clusters marked, creating every refcount block
+  /// that covers it first.
+  sim::Task<Result<void>> record_taken(std::uint64_t first, std::uint64_t n,
+                                       RefHint hint);
+  /// Give back one count of each cluster in [first, first+n) after the
+  /// operation that took it failed, then make the file agree wherever the
+  /// raise may have reached it: every covering block the refcount table
+  /// holds. If that fails, the dirty bit outlives close().
+  sim::Task<void> undo_counts(std::uint64_t first, std::uint64_t n);
+  [[nodiscard]] bool holds_block(std::uint64_t bi) const noexcept {
+    return bi < rt_.size() && (rt_[bi] & kOffsetMask) != 0;
+  }
   sim::Task<Result<std::uint64_t>> alloc_clusters(std::uint64_t n,
                                                   RefHint hint);
   sim::Task<Result<void>> ensure_refcount_block(std::uint64_t cluster_idx);
@@ -394,17 +430,19 @@ class Qcow2Device final : public block::BlockDevice {
   /// behind a flush barrier. A failure keeps it counted for the next
   /// allocation or close() to retry.
   sim::Task<Result<void>> release_old_table();
-  [[nodiscard]] std::optional<std::uint64_t> find_free_run(std::uint64_t n);
-  [[nodiscard]] Result<void> quota_check(std::uint64_t end_cluster) const;
+  [[nodiscard]] std::uint64_t find_free_run(std::uint64_t n);
 
   // Refcount journal (see qcow2/journal.hpp and DESIGN.md).
-  /// Append one record for a cluster run (caller holds alloc_mutex_).
-  /// Checkpoints first when the journal is full. Rides the caller's
-  /// flush barriers — no flush of its own.
+  /// Append one record for a cluster run (caller holds alloc_mutex_)
+  /// and mark its blocks stale. Checkpoints first when the journal is
+  /// full. Rides the caller's flush barriers — no flush of its own.
   sim::Task<Result<void>> journal_append(std::uint32_t flags,
                                          std::uint64_t first_cluster,
                                          std::uint64_t count,
                                          RefHint hint);
+  /// Mark the refcount blocks covering [first, first+n) stale: the next
+  /// checkpoint writes them back from the mirror.
+  void mark_stale(std::uint64_t first, std::uint64_t n);
   /// Write the journaled refcount blocks back from the mirror, flush,
   /// then retire every record by bumping the header generation.
   sim::Task<Result<void>> journal_checkpoint();
@@ -527,10 +565,11 @@ class Qcow2Device final : public block::BlockDevice {
   bool cor_enabled_ = true;
   bool ro_mode_ = false;
   bool dirty_ = false;  ///< on-disk header carries kIncompatDirty
-  /// The dirty bit predates this session (opened with auto_repair_dirty
-  /// off and not yet repaired): close() must NOT clear it — only a
-  /// repair() earns a clean mark for damage we merely inherited.
-  bool dirty_inherited_ = false;
+  /// close() must NOT clear the dirty bit: it predates this session
+  /// (opened with auto_repair_dirty off and not yet repaired), or an undo
+  /// could not take counts back on disk. Only a repair() earns a clean
+  /// mark for damage this session cannot vouch for.
+  bool keep_dirty_ = false;
   bool lazy_ = false;  ///< defer refcount decrements while dirty
 
   // Journal session state. journal_head_ is the next record sector
