@@ -841,7 +841,8 @@ TEST(Qcow2RefcountCalls, LazyDecrementsPersistAtClose) {
     ASSERT_TRUE(sync_wait(q->close()).ok());
   }
   expect_calls(log, {15, 9, 0, 0xd3daf5dc0260fd21ull});
-  auto again = sync_wait(qcow2::open_image(mem, "img.qcow2", /*writable=*/false));
+  auto again =
+      sync_wait(qcow2::open_image(mem, "img.qcow2", /*writable=*/false));
   ASSERT_TRUE(again.ok());
   auto* r = dynamic_cast<qcow2::Qcow2Device*>(again->get());
   ASSERT_NE(r, nullptr);
