@@ -574,8 +574,9 @@ class Qcow2Device final : public block::BlockDevice {
 
   // Journal session state. journal_head_ is the next record sector
   // (1-based; sector 0 is the header); journal_dirty_blocks_ holds the
-  // refcount-block indices with journaled-but-not-checkpointed changes —
-  // exactly what a checkpoint must write back.
+  // stale refcount-block indices (mark_stale): blocks with changes that
+  // are journaled or undone but not checkpointed — what a checkpoint must
+  // write back.
   std::uint64_t journal_sector_count_ = 0;
   std::uint64_t journal_gen_ = 0;
   std::uint64_t journal_seq_ = 0;
