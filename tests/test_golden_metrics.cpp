@@ -472,8 +472,8 @@ TEST(GoldenMetrics, CompressedCorChainExplorePinnedValues) {
 }
 
 // 512 B-cluster sweeps. A refcount block covers 256 clusters there, and
-// 200 guest operations grow the 1 MiB image past them (to 294 clusters,
-// 310 with the journal), so cuts land inside refcount-block creation;
+// 200 guest operations grow the 1 MiB image past them, so cuts land
+// inside refcount-block creation;
 // lazy refcounts defer the decrements eager mode writes at once, and a
 // 2-sector journal checkpoints on nearly every allocation.
 
